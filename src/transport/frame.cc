@@ -86,8 +86,9 @@ void AppendEncodedFrame(const Frame& frame, std::vector<uint8_t>* out) {
   if (frame.payload.size() > kMaxFramePayload) {
     throw std::invalid_argument("frame payload exceeds kMaxFramePayload");
   }
+  // No exact reserve here: it would reallocate on every append and defeat
+  // the vector's geometric growth when callers batch many frames.
   const std::size_t start = out->size();
-  out->reserve(start + EncodedFrameSize(frame.payload.size()));
   out->push_back(kMagic0);
   out->push_back(kMagic1);
   out->push_back(kVersion);
@@ -166,6 +167,9 @@ FrameError TryDecodeFrame(const uint8_t* data, std::size_t size, Frame* out,
 }
 
 void FrameDecoder::Append(const uint8_t* data, std::size_t size) {
+  // An empty vector's data() may be null, and memcpy from null is undefined
+  // even for zero bytes.
+  if (size == 0) return;
   std::memcpy(Reserve(size), data, size);
   Commit(size);
 }

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <unordered_set>
 #include <vector>
 
 #include "fo/sketch_wire.h"
@@ -143,7 +142,7 @@ DeliverResult RoundBuffer::Deliver(Frame&& frame) {
     if (Complete(pending)) complete_cv_.notify_all();
     return DeliverResult::kEndMarker;
   }
-  if (!pending.identities.insert(identity).second) {
+  if (!pending.identities.Insert(identity)) {
     ++stats_.duplicate_frames;
   }
   // Duplicates are still buffered — the ingest edge owns exact per-round
@@ -275,11 +274,10 @@ void SendRoundFrames(const std::vector<FrameSender*>& senders,
       throw std::invalid_argument("SendRoundFrames got a null sender");
     }
   }
-  std::unordered_set<uint64_t> identities;
-  identities.reserve(packets.size());
+  U64Set identities;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const std::vector<uint8_t>& packet = packets[i];
-    identities.insert(PacketIdentity(packet.data(), packet.size()));
+    identities.Insert(PacketIdentity(packet.data(), packet.size()));
     senders[i % senders.size()]->Send(
         MakeDataFrame(session_id, round, packet));
   }

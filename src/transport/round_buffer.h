@@ -51,10 +51,10 @@
 // PendingRound that could pin memory for a round that will never drain
 // (regression-tested via pending_rounds()).
 //
-// Thread model: Deliver/EndRound are called from transport threads (socket
-// readers, replayers, test drivers); TakeRound blocks the session side on
-// a condition variable. All state is behind one mutex; the hot work
-// (decode, sketch folding) happens outside the buffer.
+// Thread model: Deliver/EndRound are called from transport threads (the
+// socket listener's loop, log replayers, tests); TakeRound blocks the
+// session side on a condition variable. All state is behind one mutex; the
+// hot work (decode, sketch folding) happens outside the buffer.
 #ifndef LDPIDS_TRANSPORT_ROUND_BUFFER_H_
 #define LDPIDS_TRANSPORT_ROUND_BUFFER_H_
 
@@ -67,11 +67,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "service/session.h"
 #include "transport/frame.h"
+#include "util/u64_set.h"
 
 namespace ldpids::obs {
 class MetricsRegistry;
@@ -169,7 +169,7 @@ class RoundBuffer {
     std::vector<PayloadRef> packets;
     // Identities of the packets buffered so far; completion counts these,
     // not raw arrivals, so a duplicate cannot mask a loss.
-    std::unordered_set<uint64_t> identities;
+    U64Set identities;
     bool marker_seen = false;
     uint64_t expected = 0;  // distinct packets announced; valid once marker_seen
   };

@@ -1,11 +1,15 @@
 #include "transport/socket.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
@@ -23,13 +27,61 @@
 
 namespace ldpids::transport {
 
+namespace {
+
+// Bytes per recv: one read per ready connection per epoll pass.
+constexpr std::size_t kChunk = 64 * 1024;
+constexpr int kMaxEvents = 64;
+
+void CloseFd(int* fd) {
+  if (*fd >= 0) ::close(*fd);
+  *fd = -1;
+}
+
+void AddToEpoll(int epoll_fd, int fd, void* tag) {
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.ptr = tag;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) < 0) {
+    ThrowErrno("epoll_ctl");
+  }
+}
+
+}  // namespace
+
+struct SocketListener::Connection {
+  int fd = -1;
+  // Latched under mu_ at accept: AttachMetrics only instruments later peers.
+  obs::Histogram* decode_hist = nullptr;
+  FrameDecoder decoder;
+};
+
 SocketListener::SocketListener(uint16_t port, FrameHandler handler)
     : handler_(std::move(handler)) {
   if (!handler_) {
     throw std::invalid_argument("listener needs a frame handler");
   }
   listen_fd_ = BindLoopbackListener(port, &port_);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  try {
+    const int flags = ::fcntl(listen_fd_, F_GETFL);
+    if (flags < 0 || ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
+      ThrowErrno("fcntl O_NONBLOCK");
+    }
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd_ < 0) ThrowErrno("eventfd");
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) ThrowErrno("epoll_create1");
+    // The two control fds are tagged by their member's address; every
+    // other event's tag is the Connection it belongs to.
+    AddToEpoll(epoll_fd_, listen_fd_, &listen_fd_);
+    AddToEpoll(epoll_fd_, wake_fd_, &wake_fd_);
+  } catch (...) {
+    CloseFd(&epoll_fd_);
+    CloseFd(&wake_fd_);
+    CloseFd(&listen_fd_);
+    throw;
+  }
+  loop_thread_ = std::thread([this] { Loop(); });
 }
 
 SocketListener::~SocketListener() { Stop(); }
@@ -49,97 +101,127 @@ void SocketListener::AttachMetrics(obs::MetricsRegistry* registry,
       std::make_unique<obs::FrameStatsFeed>(registry, feed_labels);
 }
 
-void SocketListener::AcceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
+void SocketListener::Loop() {
+  std::vector<std::unique_ptr<Connection>> open;
+  // Connections closed during the current epoll batch. They are freed only
+  // once the batch is done, so no event still in it can reach a dead one.
+  std::vector<std::unique_ptr<Connection>> closed;
+  epoll_event events[kMaxEvents];
+  bool stopping = false;
+  while (!stopping) {
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    if (n < 0) {
       if (errno == EINTR) continue;
-      return;  // listener shut down (or a fatal accept error)
+      break;  // fatal: fall through to the shutdown drain
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    for (int i = 0; i < n; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == &wake_fd_) {
+        stopping = true;
+      } else if (tag == &listen_fd_) {
+        AcceptReady(&open);
+      } else {
+        auto* conn = static_cast<Connection*>(tag);
+        if (ReadOnce(conn) != ReadResult::kGone) continue;
+        Retire(conn);
+        const auto it = std::find_if(
+            open.begin(), open.end(),
+            [conn](const std::unique_ptr<Connection>& c) {
+              return c.get() == conn;
+            });
+        closed.push_back(std::move(*it));
+        open.erase(it);
+      }
     }
-    ++connections_;
-    reader_fds_.push_back(fd);
-    readers_.emplace_back([this, fd] { ReadLoop(fd); });
+    closed.clear();
+  }
+  // Stop(): deliver whatever each peer already sent, then close it.
+  for (const std::unique_ptr<Connection>& conn : open) {
+    while (ReadOnce(conn.get()) == ReadResult::kData) {
+    }
+    Retire(conn.get());
   }
 }
 
-void SocketListener::ReadLoop(int fd) {
-  FrameDecoder decoder;
-  Frame frame;
-  constexpr std::size_t kChunk = 64 * 1024;
-  // Latch the stage histogram once: the reader was minted under mu_, so an
-  // AttachMetrics that happened-before this connection is visible here.
-  obs::Histogram* decode_hist;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    decode_hist = decode_hist_;
-  }
+void SocketListener::AcceptReady(
+    std::vector<std::unique_ptr<Connection>>* open) {
   for (;;) {
-    // Zero-copy intake: recv straight into the decoder's pooled block; the
-    // bytes are never staged in a side buffer, and decoded payloads alias
-    // them in place all the way into the round buffer.
-    const ssize_t n = ::recv(fd, decoder.Reserve(kChunk), kChunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or shutdown
-    decoder.Commit(static_cast<std::size_t>(n));
-    if (decode_hist != nullptr) {
-      // One observation per recv drain: frame reassembly plus handler
-      // delivery, the time the bytes spend on this reader thread.
-      const uint64_t t0 = obs::NowNs();
-      while (decoder.Next(&frame)) handler_(std::move(frame));
-      decode_hist->Observe(obs::NowNs() - t0);
-    } else {
-      while (decoder.Next(&frame)) handler_(std::move(frame));
-    }
-  }
-  {
-    // Deregister before closing: once the fd is closed the kernel may
-    // recycle its number, and Stop() must never shutdown() a stale entry.
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ += decoder.stats();
-    connection_stats_.push_back(decoder.stats());
-    if (metrics_feed_ != nullptr) metrics_feed_->Add(decoder.stats());
-    for (int& reader_fd : reader_fds_) {
-      if (reader_fd == fd) {
-        reader_fd = -1;
-        break;
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        // Fatal accept error (e.g. fd exhaustion): stop accepting rather
+        // than spin on a listen fd that stays readable. Connected peers
+        // keep being served.
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
       }
+      return;
     }
+    auto conn = std::make_unique<Connection>();
+    conn->fd = fd;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++connections_;
+      conn->decode_hist = decode_hist_;
+    }
+    try {
+      AddToEpoll(epoll_fd_, fd, conn.get());
+    } catch (const std::runtime_error&) {
+      Retire(conn.get());  // counted above, so it still folds an entry
+      continue;
+    }
+    open->push_back(std::move(conn));
   }
-  ::close(fd);
+}
+
+SocketListener::ReadResult SocketListener::ReadOnce(Connection* conn) {
+  // Zero-copy intake: recv straight into the decoder's pooled block; the
+  // bytes are never staged in a side buffer, and decoded payloads alias
+  // them in place all the way into the round buffer.
+  FrameDecoder& decoder = conn->decoder;
+  const ssize_t n = ::recv(conn->fd, decoder.Reserve(kChunk), kChunk, 0);
+  if (n < 0) {
+    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR
+               ? ReadResult::kIdle
+               : ReadResult::kGone;
+  }
+  if (n == 0) return ReadResult::kGone;  // EOF
+  decoder.Commit(static_cast<std::size_t>(n));
+  Frame frame;
+  if (conn->decode_hist != nullptr) {
+    // One observation per recv drain: frame reassembly plus handler
+    // delivery, the time these bytes spend on the loop thread.
+    const uint64_t t0 = obs::NowNs();
+    while (decoder.Next(&frame)) handler_(std::move(frame));
+    conn->decode_hist->Observe(obs::NowNs() - t0);
+  } else {
+    while (decoder.Next(&frame)) handler_(std::move(frame));
+  }
+  return ReadResult::kData;
+}
+
+void SocketListener::Retire(Connection* conn) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const FrameStats& stats = conn->decoder.stats();
+    stats_ += stats;
+    connection_stats_.push_back(stats);
+    if (metrics_feed_ != nullptr) metrics_feed_->Add(stats);
+  }
+  // Deregister explicitly: close() alone leaves the registration alive
+  // while a forked child still holds a copy of the fd.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  CloseFd(&conn->fd);
 }
 
 void SocketListener::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Already stopped (Stop then destructor is the common sequence).
-      if (!accept_thread_.joinable() && readers_.empty()) return;
-    }
-    stopping_ = true;
-  }
-  // Unblock accept(), then stop minting readers before touching them.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : reader_fds_) {
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  for (std::thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
-  }
-  readers_.clear();
-  reader_fds_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  if (!loop_thread_.joinable()) return;  // Stop then destructor
+  if (::eventfd_write(wake_fd_, 1) < 0) ThrowErrno("eventfd_write");
+  loop_thread_.join();
+  CloseFd(&epoll_fd_);
+  CloseFd(&wake_fd_);
+  CloseFd(&listen_fd_);
 }
 
 FrameStats SocketListener::stats() const {

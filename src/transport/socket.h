@@ -1,20 +1,26 @@
 // Loopback/TCP socket transport for frame streams (POSIX sockets).
 //
 // `SocketListener` is the server edge: it binds a TCP port (0 picks an
-// ephemeral one), accepts connections on a background thread, runs one
-// reader thread per connection, and pushes every decoded frame into the
-// caller's FrameHandler. Each connection gets its own FrameDecoder, so
-// split/merged reads and mid-stream corruption degrade to typed per-reason
-// stats, never a crash — the same defensive posture as the wire decoders
-// one layer down.
+// ephemeral one) and serves every connection from one epoll loop, pushing
+// each decoded frame into the caller's FrameHandler. Each connection gets
+// its own FrameDecoder, so split/merged reads and mid-stream corruption
+// degrade to typed per-reason stats, never a crash — the same defensive
+// posture as the wire decoders one layer down.
 //
 // `SocketClient` is the device edge: it connects and sends frames through
 // a batching buffer (one send(2) per ~flush_bytes, not per report — at
 // ~50 B per frame, syscall-per-frame would dominate the protocol cost).
 //
-// Threading: the handler runs on listener-owned reader threads. It must
-// synchronize internally (RoundBuffer and FrameDemux do). Stop() — and the
-// destructor — closes the sockets and joins every thread.
+// Threading: the listener starts exactly one loop thread, however many
+// peers connect. It accepts, does one level-triggered recv of up to 64 KiB
+// per ready connection per epoll pass (so a busy peer cannot starve the
+// others), and runs the handler for every frame that recv completed — on
+// the loop thread, one frame at a time, never from two threads at once.
+// The handler must not block: a blocked handler stalls every connection.
+// Its sink must still lock (RoundBuffer and FrameDemux do), since other
+// threads may deliver into it too. Stop() — and the destructor — wakes the
+// loop, delivers what the peers already sent, closes every connection and
+// joins the thread.
 #ifndef LDPIDS_TRANSPORT_SOCKET_H_
 #define LDPIDS_TRANSPORT_SOCKET_H_
 
@@ -50,13 +56,13 @@ class SocketListener {
   // to the canonical ldpids_frame_* metrics and records each recv drain's
   // decode+deliver time into the frame_decode stage histogram, labeled
   // {session=label} when `label` is non-empty. Attach before clients
-  // connect — a reader started earlier keeps running uninstrumented.
+  // connect — a connection accepted earlier stays uninstrumented.
   // Registry must outlive the listener.
   void AttachMetrics(obs::MetricsRegistry* registry,
                      const std::string& label = {});
 
-  // Stops accepting, closes every connection and joins all threads.
-  // Frames already buffered in a connection's decoder are delivered first.
+  // Stops accepting, closes every connection and joins the loop thread.
+  // Bytes a peer already sent are read and their frames delivered first.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -70,26 +76,37 @@ class SocketListener {
   uint64_t connections() const;
 
  private:
-  void AcceptLoop();
-  void ReadLoop(int fd);
+  struct Connection;
+  enum class ReadResult { kData, kIdle, kGone };
+
+  void Loop();
+  // Accepts every pending peer (non-blocking) and registers it.
+  void AcceptReady(std::vector<std::unique_ptr<Connection>>* open);
+  // One recv into the decoder, then every frame it completed to the
+  // handler. kIdle: nothing to read yet; kGone: EOF or a hard error.
+  ReadResult ReadOnce(Connection* conn);
+  // Folds the connection's decoder stats and closes its fd; the caller
+  // keeps the Connection alive until its epoll batch is done.
+  void Retire(Connection* conn);
 
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: Stop() wakes the loop through it
+  int epoll_fd_ = -1;
   uint16_t port_ = 0;
   FrameHandler handler_;
-  std::thread accept_thread_;
 
   mutable std::mutex mu_;
-  bool stopping_ = false;
-  std::vector<std::thread> readers_;
-  std::vector<int> reader_fds_;
   FrameStats stats_;
   std::vector<FrameStats> connection_stats_;
   uint64_t connections_ = 0;
-  // Observability (null until AttachMetrics). The histogram is recorded
-  // from reader threads (Observe is lock-free); the feed is only touched
-  // at connection close, under mu_.
+  // Observability (null until AttachMetrics). The loop latches the
+  // histogram under mu_ as it accepts each connection and records into it
+  // lock-free; the feed is only touched at connection close, under mu_.
   obs::Histogram* decode_hist_ = nullptr;
   std::unique_ptr<obs::FrameStatsFeed> metrics_feed_;
+
+  // Last: the loop uses every member above.
+  std::thread loop_thread_;
 };
 
 class SocketClient : public FrameSender {

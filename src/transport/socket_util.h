@@ -2,7 +2,7 @@
 // (transport/socket.cc) and the observability scrape server
 // (obs/http_server.cc): errno-to-exception reporting, full-buffer send,
 // and loopback listener setup with ephemeral-port resolution. Kept tiny
-// on purpose — both servers own their accept/reader threading themselves;
+// on purpose — both servers own their event loop or threads themselves;
 // only the syscall boilerplate is worth sharing.
 #ifndef LDPIDS_TRANSPORT_SOCKET_UTIL_H_
 #define LDPIDS_TRANSPORT_SOCKET_UTIL_H_

@@ -1,5 +1,5 @@
 // Flat open-addressing set of uint64 keys — the ingest shards' per-round
-// duplicate-nonce filter.
+// duplicate-nonce filter and the RoundBuffer's per-round identity set.
 //
 // std::unordered_set spends the dedup budget on a pointer chase per probe
 // (node allocation, bucket list walk). Report nonces are plain u64s that
@@ -32,22 +32,24 @@ class U64Set {
     return false;
   }
 
-  // Inserts `x`; a no-op if already present.
-  void Insert(uint64_t x) {
+  // Inserts `x`; returns false (a no-op) if it was already present.
+  bool Insert(uint64_t x) {
     if (x == 0) {
-      count_ += has_zero_ ? 0 : 1;
+      if (has_zero_) return false;
       has_zero_ = true;
-      return;
+      ++count_;
+      return true;
     }
     // Grow at 3/4 load; linear probing degrades fast beyond that.
     if ((count_ + 1) * 4 > slots_.size() * 3) Grow();
     std::size_t i = static_cast<std::size_t>(Mix64(x)) & mask_;
     while (slots_[i] != 0) {
-      if (slots_[i] == x) return;
+      if (slots_[i] == x) return false;
       i = (i + 1) & mask_;
     }
     slots_[i] = x;
     ++count_;
+    return true;
   }
 
   std::size_t size() const { return count_; }

@@ -9,9 +9,13 @@
 // them again.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -125,6 +129,26 @@ TEST(FrameCodecTest, OversizePayloadIsRejectedAtBothEnds) {
   EXPECT_EQ(transport::TryDecodeFrame(bytes.data(), bytes.size(), &decoded,
                                       &consumed),
             transport::FrameError::kOversize);
+}
+
+// Batching senders append thousands of frames to one buffer; an exact
+// per-frame reserve would reallocate on every append (quadratic copying).
+TEST(FrameCodecTest, AppendingManyFramesGrowsGeometrically) {
+  constexpr std::size_t kFrames = 10000;
+  const std::vector<uint8_t> payload(28, 0x3C);
+  std::vector<uint8_t> out;
+  std::size_t capacity = out.capacity();
+  std::size_t capacity_changes = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    transport::AppendEncodedFrame(MakeDataFrame(1, i, payload), &out);
+    if (out.capacity() != capacity) {
+      capacity = out.capacity();
+      ++capacity_changes;
+    }
+  }
+  EXPECT_EQ(out.size(), kFrames * transport::EncodedFrameSize(payload.size()));
+  EXPECT_LE(capacity_changes,
+            static_cast<std::size_t>(std::log2(kFrames)) + 8);
 }
 
 TEST(FrameDecoderTest, SplitAndMergedReadsYieldTheSameFrames) {
@@ -461,7 +485,7 @@ TEST(SocketTest, FramesSurviveTheLoopbackIntact) {
     client.Close();
     EXPECT_EQ(client.frames_sent(), 200u);
   }
-  // The listener owns its own accept/read threads; wait for delivery
+  // The listener owns its own loop thread; wait for delivery
   // before tearing down (real consumers block on RoundBuffer completion
   // instead — Stop() is an immediate shutdown, not a drain).
   const auto deadline =
@@ -483,6 +507,122 @@ TEST(SocketTest, FramesSurviveTheLoopbackIntact) {
   EXPECT_EQ(listener.stats().frames, 200u);
   EXPECT_EQ(listener.stats().errors(), 0u);
   EXPECT_EQ(listener.connections(), 1u);
+}
+
+// --- socket listener reactor ----------------------------------------------
+
+// Polls `done` for up to `limit`; returns its final value.
+bool WaitUntil(const std::function<bool()>& done,
+               std::chrono::milliseconds limit = std::chrono::seconds(30)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+std::size_t ProcessThreadCount() {
+  std::size_t threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+// VmSize from /proc/self/status, in KiB (0 if unreadable).
+uint64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+  }
+  return 0;
+}
+
+// One loop thread serves every peer: idle connections cost a decoder each,
+// never a thread.
+TEST(SocketReactorTest, IdleClientsAddNoThreads) {
+  SocketListener listener(0, [](Frame&&) {});
+  std::vector<std::unique_ptr<SocketClient>> clients;
+  clients.push_back(std::make_unique<SocketClient>(listener.port()));
+  ASSERT_TRUE(WaitUntil([&] { return listener.connections() == 1u; }));
+  const std::size_t with_one = ProcessThreadCount();
+  while (clients.size() < 16) {
+    clients.push_back(std::make_unique<SocketClient>(listener.port()));
+  }
+  ASSERT_TRUE(WaitUntil([&] { return listener.connections() == 16u; }));
+  EXPECT_LE(ProcessThreadCount(), with_one);
+  clients.clear();
+  listener.Stop();
+  EXPECT_EQ(listener.connection_stats().size(), 16u);
+}
+
+// Closed connections are freed as they close: thousands of short-lived
+// peers leave no per-connection stack or decoder behind.
+TEST(SocketReactorTest, ConnectCloseCyclesLeaveNoResidue) {
+  constexpr std::size_t kCycles = 2000;
+  // The first cycles warm the loop thread's allocator arena and the
+  // decoder pool; growth is measured over the rest.
+  constexpr std::size_t kWarmup = 100;
+  SocketListener listener(0, [](Frame&&) {});
+  // Each cycle waits for its accept: a client that out-runs the listener
+  // overflows the listen backlog, and a dropped SYN costs a 1 s retransmit.
+  auto cycles = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      SocketClient client(listener.port());
+      client.Close();
+      ASSERT_TRUE(WaitUntil([&] { return listener.connections() == i + 1; }));
+    }
+  };
+  auto closed = [&](std::size_t n) {
+    return WaitUntil(
+        [&] { return listener.connection_stats().size() == n; });
+  };
+  cycles(0, kWarmup);
+  ASSERT_TRUE(closed(kWarmup));
+  const uint64_t before_kb = VmSizeKb();
+  cycles(kWarmup, kCycles);
+  ASSERT_TRUE(closed(kCycles));
+  const uint64_t after_kb = VmSizeKb();
+  ASSERT_GT(before_kb, 0u);
+  // AddressSanitizer keeps freed blocks mapped in its quarantine (256 MiB
+  // by default), and every cycle frees a decoder block. One leaked thread
+  // stack per cycle would still add ~15 GiB here.
+#if defined(__SANITIZE_ADDRESS__)
+  constexpr uint64_t kQuarantineKb = 256 * 1024;
+#else
+  constexpr uint64_t kQuarantineKb = 0;
+#endif
+  EXPECT_LT(after_kb, before_kb + 64 * 1024 + kQuarantineKb)
+      << "VmSize grew from " << before_kb << " KiB to " << after_kb << " KiB";
+  listener.Stop();
+  EXPECT_EQ(listener.connections(), kCycles);
+  EXPECT_EQ(listener.connection_stats().size(), kCycles);
+}
+
+// Stop() must not wait on peers that never hang up: it closes them itself
+// and still folds one stats entry per connection.
+TEST(SocketReactorTest, StopWithIdleClientsReturnsPromptly) {
+  constexpr std::size_t kClients = 8;
+  SocketListener listener(0, [](Frame&&) {});
+  std::vector<std::unique_ptr<SocketClient>> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<SocketClient>(listener.port()));
+  }
+  ASSERT_TRUE(WaitUntil([&] { return listener.connections() == kClients; }));
+  const auto start = std::chrono::steady_clock::now();
+  listener.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(listener.connection_stats().size(), kClients);
+  listener.Stop();  // idempotent
+  EXPECT_EQ(listener.connection_stats().size(), kClients);
 }
 
 // --- end-to-end: socket + file replay vs in-process -----------------------
@@ -636,7 +776,7 @@ class MultiConnectionTest : public ::testing::TestWithParam<OracleId> {};
 // cross-connection duplicates, so one packet's copies can race each other
 // on different TCP streams — must release bit-identically to the
 // in-process (and therefore single-connection) run. Each connection gets
-// its own listener-side reader thread and FrameDecoder; the RoundBuffer is
+// its own FrameDecoder on the listener's loop thread; the RoundBuffer is
 // the only merge point.
 TEST_P(MultiConnectionTest, FourStripedConnectionsMatchOneBitForBit) {
   const std::string fo_name = OracleIdName(GetParam());

@@ -21,8 +21,7 @@ TEST(U64SetTest, MatchesUnorderedSetOverRandomWorkload) {
     const uint64_t key = rng.UniformInt(4096);
     ASSERT_EQ(set.Contains(key), reference.count(key) != 0) << "op " << op;
     if (rng.Bernoulli(0.7)) {
-      set.Insert(key);
-      reference.insert(key);
+      ASSERT_EQ(set.Insert(key), reference.insert(key).second) << "op " << op;
       ASSERT_TRUE(set.Contains(key));
     }
     ASSERT_EQ(set.size(), reference.size());
@@ -32,13 +31,13 @@ TEST(U64SetTest, MatchesUnorderedSetOverRandomWorkload) {
 TEST(U64SetTest, ZeroKeyAndReinsertion) {
   U64Set set;
   EXPECT_FALSE(set.Contains(0));
-  set.Insert(0);
+  EXPECT_TRUE(set.Insert(0));
   EXPECT_TRUE(set.Contains(0));
   EXPECT_EQ(set.size(), 1u);
-  set.Insert(0);  // no-op
+  EXPECT_FALSE(set.Insert(0));  // no-op
   EXPECT_EQ(set.size(), 1u);
-  set.Insert(7);
-  set.Insert(7);
+  EXPECT_TRUE(set.Insert(7));
+  EXPECT_FALSE(set.Insert(7));
   EXPECT_EQ(set.size(), 2u);
   EXPECT_TRUE(set.Contains(7));
   EXPECT_FALSE(set.Contains(8));
