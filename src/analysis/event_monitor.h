@@ -11,7 +11,7 @@
 //     the histogram mean, which is only informative when participation
 //     varies per timestamp; with full participation the mean is identically
 //     1/d, so we monitor the peak — the same "is something unusual
-//     happening" question. Documented in DESIGN.md §4.)
+//     happening" question.)
 #ifndef LDPIDS_ANALYSIS_EVENT_MONITOR_H_
 #define LDPIDS_ANALYSIS_EVENT_MONITOR_H_
 

@@ -52,7 +52,8 @@ struct MechanismConfig {
   // When true, users are simulated individually through the full client
   // protocol (FoSketch::AddUser). When false (default), the server-side
   // aggregate is drawn from its exact per-bin distribution in O(d) per round
-  // (FoSketch::AddCohort) — see DESIGN.md §3.
+  // (FoSketch::AddCohort) — see the two simulation paths in
+  // fo/frequency_oracle.h.
   bool per_user_simulation = false;
 
   // Consistency post-processing applied to every release (privacy-free by

@@ -1,8 +1,8 @@
 // Simulators for the paper's three real-world datasets (Section 7.1.2).
 //
 // The original Taxi (T-Drive), Foursquare and Taobao datasets are
-// proprietary or not redistributable, so — per the substitution rule in
-// DESIGN.md §4 — we synthesize streams with the *published shape*:
+// proprietary or not redistributable, so we synthesize streams with the
+// *published shape*:
 //
 //   Taxi        N = 10,357    T = 886   d = 5    (Beijing taxis, 5 grids)
 //   Foursquare  N = 265,149   T = 447   d = 77   (check-ins, 77 countries)

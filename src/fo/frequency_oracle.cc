@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "fo/fo_kernels.h"
 #include "fo/grr.h"
 #include "fo/hr.h"
 #include "fo/olh.h"
@@ -16,6 +18,44 @@
 #include "fo/sue.h"
 
 namespace ldpids {
+
+FoSketch::FoSketch(const FoParams& params, double q, double denom)
+    : counts_(params.domain, 0), params_(params), q_(q), denom_(denom) {}
+
+void FoSketch::MergeFrom(const FoSketch& other) {
+  if (&other == this || typeid(other) != typeid(*this) ||
+      other.params_.domain != params_.domain ||
+      other.params_.epsilon != params_.epsilon) {
+    throw std::invalid_argument("sketch merge: incompatible sketch");
+  }
+  other.Resolve();
+  AbsorbCounts(other.counts_.data(), other.counts_.size(), other.num_users_);
+}
+
+void FoSketch::ExportResolvedCounts(Counts* out) const {
+  Resolve();
+  *out = counts_;
+}
+
+bool FoSketch::AbsorbCounts(const uint64_t* counts, std::size_t count,
+                            uint64_t num_users) {
+  if (count != counts_.size()) return false;
+  // Deferred reports resolve into counts_ by pure integer adds, so
+  // absorbing before or after this sketch's own resolution is
+  // bit-identical.
+  for (std::size_t k = 0; k < count; ++k) counts_[k] += counts[k];
+  num_users_ += num_users;
+  return true;
+}
+
+void FoSketch::EstimateInto(Histogram* out) const {
+  if (num_users_ == 0) throw std::logic_error("sketch has no users");
+  Resolve();
+  out->resize(counts_.size());
+  fokernels::EstimateAffine(counts_.data(), counts_.size(),
+                            1.0 / static_cast<double>(num_users_), q_, denom_,
+                            out->data());
+}
 
 void FoSketch::AddReports(const ArenaSlice& slice) {
   // Scalar reference: reconstruct each staged row and fold it through the

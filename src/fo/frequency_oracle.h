@@ -3,16 +3,24 @@
 //
 // An FO protocol lets an untrusted server estimate the frequency of every
 // value in a categorical domain Omega (|Omega| = d) from users' locally
-// perturbed reports, under epsilon-LDP. The library ships three oracles:
+// perturbed reports, under epsilon-LDP. The library ships five oracles:
 //
 //   * GRR — Generalized Randomized Response (the paper's running example),
 //   * OUE — Optimized Unary Encoding (Wang et al., USENIX Security 2017),
 //   * OLH — Optimized Local Hashing (ibid.),
+//   * SUE — Symmetric Unary Encoding (basic RAPPOR),
+//   * HR  — Hadamard Response,
 //
 // all behind one interface so the stream mechanisms are FO-agnostic, exactly
 // like the paper's abstract V(eps, n) variance notation.
 //
-// Two simulation paths (see DESIGN.md §3):
+// Every oracle's server state is one additive count vector of domain()
+// entries plus the user count, and every estimator is affine in
+// counts / n. FoSketch therefore owns that state and implements merging,
+// export/absorb and estimation once; an oracle supplies its client and
+// ingest paths and, when it defers per-report work, a Resolve() hook.
+//
+// Two simulation paths:
 //   * `FoSketch::AddUser(v, rng)` performs the exact client-side protocol for
 //     one user — what a real deployment would run on-device.
 //   * `FoSketch::AddCohort(counts, rng)` draws the server-side aggregate
@@ -83,37 +91,51 @@ class FoSketch {
   // with vectorized column kernels pinned against it in fo_kernel_test.
   virtual void AddReports(const ArenaSlice& slice);
 
-  // Shard-reduce: folds another sketch of the same oracle and parameters
-  // into this one, as if its users had reported here directly. Because all
-  // sketch state is additive integer counts, merging K shards yields
-  // bit-identical estimates to single-sketch ingestion of the same reports
-  // no matter how they were partitioned. Throws std::invalid_argument when
-  // `other` is a different oracle or was created with different FoParams.
-  virtual void MergeFrom(const FoSketch& other) = 0;
+  // Finishes the per-report work an oracle defers (OLH's O(d) support
+  // scan, HR's FWHT batch) by folding it into the resolved count vector,
+  // and returns how many reports it folded (0 when nothing was pending;
+  // oracles that fold eagerly always return 0). Every read of the counts
+  // below resolves first, so calling this is never needed for
+  // correctness — it only chooses *where* the work runs. The serving
+  // layer calls it at the end of each shard's fold, on that shard's pool
+  // lane (service/ingest.h), so the session's estimate never scans.
+  // Resolution is pure integer bookkeeping (no RNG): when it runs never
+  // changes a count.
+  virtual uint64_t Resolve() const { return 0; }
 
-  // Assigns this sketch's *resolved* additive count vector to `*out`,
-  // forcing resolution of any deferred per-report state first (OLH's
-  // pending support scan, HR's pending FWHT batch) — the same resolution
-  // MergeFrom performs on both sides. Together with num_users() this is
-  // the sketch's complete merge state: it is the serialization boundary
-  // of the distributed merge tree (fo/sketch_wire.h). Every shipped
-  // oracle's resolved vector has exactly domain() elements.
-  virtual void ExportResolvedCounts(Counts* out) const = 0;
+  // Shard-reduce: folds another sketch of the same oracle and parameters
+  // into this one, as if its users had reported here directly — exactly
+  // AbsorbCounts of the peer's resolved counts. Because all sketch state
+  // is additive integer counts, merging K shards yields bit-identical
+  // estimates to single-sketch ingestion of the same reports no matter
+  // how they were partitioned. Throws std::invalid_argument when `other`
+  // is this sketch, a different oracle, or was created with different
+  // FoParams (epsilon compared exactly).
+  void MergeFrom(const FoSketch& other);
+
+  // Assigns this sketch's *resolved* additive count vector (domain()
+  // elements) to `*out`, resolving any deferred per-report state first.
+  // Together with num_users() this is the sketch's complete merge state:
+  // it is the serialization boundary of the distributed merge tree
+  // (fo/sketch_wire.h).
+  void ExportResolvedCounts(Counts* out) const;
 
   // Exact inverse of ExportResolvedCounts for merging: adds `counts`
   // (`count` elements) and `num_users` into this sketch. Absorbing a
   // peer sketch's exported counts is bit-identical to MergeFrom(peer) —
   // all state is additive integers, so resolution order cannot matter.
-  // Returns false without mutating the sketch when `count` does not match
-  // this sketch's resolved vector length (the serving edge counts such
-  // rejects instead of throwing, like AddReport).
-  virtual bool AbsorbCounts(const uint64_t* counts, std::size_t count,
-                            uint64_t num_users) = 0;
+  // Returns false without mutating the sketch when `count` != domain()
+  // (the serving edge counts such rejects instead of throwing, like
+  // AddReport).
+  bool AbsorbCounts(const uint64_t* counts, std::size_t count,
+                    uint64_t num_users);
 
   // Writes the unbiased frequency estimates for all d values into `*out`
-  // (resized to domain()), reusing the caller's buffer across rounds.
+  // (resized to domain()), reusing the caller's buffer across rounds:
+  //   est[k] = (counts[k] / n - q) / denom
+  // with the oracle's (q, denom) (fo/fo_kernels.h EstimateAffine).
   // Requires at least one user; throws std::logic_error otherwise.
-  virtual void EstimateInto(Histogram* out) const = 0;
+  void EstimateInto(Histogram* out) const;
 
   // Allocating convenience wrapper around EstimateInto.
   Histogram Estimate() const {
@@ -123,11 +145,15 @@ class FoSketch {
   }
 
   // |Omega| this sketch aggregates over.
-  virtual std::size_t domain() const = 0;
+  std::size_t domain() const { return params_.domain; }
 
   uint64_t num_users() const { return num_users_; }
 
  protected:
+  // `q` and `denom` are the oracle's affine estimator constants (see
+  // EstimateInto). `params` must already be validated.
+  FoSketch(const FoParams& params, double q, double denom);
+
   // Cost-model hook for AddUsers: given a tallied batch of `batch_size`
   // users, should the sketch fold it via AddCohort instead of replaying the
   // per-user protocol? The default says yes, which is right for oracles
@@ -142,7 +168,17 @@ class FoSketch {
     return true;
   }
 
+  // The resolved additive count vector, domain() entries: report counts
+  // (GRR), one-bit counts (OUE, SUE) or support counts (OLH, HR). Mutable
+  // so a const read can resolve deferred work into it first — caching,
+  // not observable behaviour.
+  mutable Counts counts_;
   uint64_t num_users_ = 0;
+
+ private:
+  FoParams params_;
+  double q_;
+  double denom_;
 };
 
 // Stateless factory + analytic formulas for one FO protocol. Instances are

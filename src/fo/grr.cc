@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "fo/fo_kernels.h"
 #include "fo/report_arena.h"
 #include "fo/wire.h"
 #include "util/distributions.h"
@@ -18,11 +17,10 @@ namespace {
 
 class GrrSketch final : public FoSketch {
  public:
-  explicit GrrSketch(const FoParams& params)
-      : d_(params.domain),
-        p_(GrrOracle::KeepProbability(params.epsilon, params.domain)),
-        q_(GrrOracle::LieProbability(params.epsilon, params.domain)),
-        report_counts_(params.domain, 0),
+  GrrSketch(const FoParams& params, double p, double q)
+      : FoSketch(params, q, p - q),
+        d_(params.domain),
+        p_(p),
         uniform_other_(params.domain - 1, 1.0) {}
 
   void AddUser(uint32_t true_value, Rng& rng) override {
@@ -33,7 +31,7 @@ class GrrSketch final : public FoSketch {
       const uint32_t r = static_cast<uint32_t>(rng.UniformInt(d_ - 1));
       report = (r >= true_value) ? r + 1 : r;
     }
-    ++report_counts_[report];
+    ++counts_[report];
     ++num_users_;
   }
 
@@ -50,13 +48,13 @@ class GrrSketch final : public FoSketch {
       const uint64_t m = true_counts[k];
       if (m == 0) continue;
       const uint64_t kept = SampleBinomial(rng, m, p_);
-      report_counts_[k] += kept;
+      counts_[k] += kept;
       const uint64_t lies = m - kept;
       if (lies > 0) {
         SampleMultinomial(rng, lies, uniform_other_, &spread_scratch_);
         for (std::size_t j = 0; j < d_ - 1; ++j) {
           const std::size_t target = (j >= k) ? j + 1 : j;
-          report_counts_[target] += spread_scratch_[j];
+          counts_[target] += spread_scratch_[j];
         }
       }
       num_users_ += m;
@@ -66,7 +64,7 @@ class GrrSketch final : public FoSketch {
   bool AddReport(const DecodedReport& report) override {
     if (report.oracle != OracleId::kGrr) return false;
     if (report.grr.value >= d_) return false;
-    ++report_counts_[report.grr.value];
+    ++counts_[report.grr.value];
     ++num_users_;
     return true;
   }
@@ -78,50 +76,15 @@ class GrrSketch final : public FoSketch {
     const uint32_t* values = slice.arena->values();
     if (slice.indices == nullptr) {
       for (std::size_t i = 0; i < slice.count; ++i) {
-        ++report_counts_[values[i]];
+        ++counts_[values[i]];
       }
     } else {
       for (std::size_t i = 0; i < slice.count; ++i) {
-        ++report_counts_[values[slice.indices[i]]];
+        ++counts_[values[slice.indices[i]]];
       }
     }
     num_users_ += slice.count;
   }
-
-  void MergeFrom(const FoSketch& other) override {
-    const auto* peer = dynamic_cast<const GrrSketch*>(&other);
-    if (peer == nullptr || peer == this || peer->d_ != d_ ||
-        peer->p_ != p_) {
-      throw std::invalid_argument("GRR merge: incompatible sketch");
-    }
-    for (std::size_t k = 0; k < d_; ++k) {
-      report_counts_[k] += peer->report_counts_[k];
-    }
-    num_users_ += peer->num_users_;
-  }
-
-  void ExportResolvedCounts(Counts* out) const override {
-    *out = report_counts_;
-  }
-
-  bool AbsorbCounts(const uint64_t* counts, std::size_t count,
-                    uint64_t num_users) override {
-    if (count != d_) return false;
-    for (std::size_t k = 0; k < d_; ++k) report_counts_[k] += counts[k];
-    num_users_ += num_users;
-    return true;
-  }
-
-  void EstimateInto(Histogram* out) const override {
-    if (num_users_ == 0) throw std::logic_error("GRR sketch has no users");
-    out->resize(d_);
-    Histogram& est = *out;
-    const double inv_n = 1.0 / static_cast<double>(num_users_);
-    fokernels::EstimateAffine(report_counts_.data(), d_, inv_n, q_, p_ - q_,
-                              est.data());
-  }
-
-  std::size_t domain() const override { return d_; }
 
  protected:
   // GRR's per-user client is O(1) while AddCohort pays one binomial plus an
@@ -138,8 +101,6 @@ class GrrSketch final : public FoSketch {
  private:
   std::size_t d_;
   double p_;
-  double q_;
-  Counts report_counts_;
   const std::vector<double> uniform_other_;
   std::vector<uint64_t> spread_scratch_;
 };
@@ -159,7 +120,9 @@ double GrrOracle::LieProbability(double epsilon, std::size_t domain) {
 std::unique_ptr<FoSketch> GrrOracle::CreateSketch(
     const FoParams& params) const {
   ValidateFoParams(params);
-  return std::make_unique<GrrSketch>(params);
+  return std::make_unique<GrrSketch>(
+      params, KeepProbability(params.epsilon, params.domain),
+      LieProbability(params.epsilon, params.domain));
 }
 
 double GrrOracle::Variance(double epsilon, uint64_t n, std::size_t domain,

@@ -25,11 +25,11 @@ inline bool HadamardPositive(uint64_t row, uint64_t col) {
 
 class HrSketch final : public FoSketch {
  public:
-  explicit HrSketch(const FoParams& params)
-      : d_(params.domain),
+  HrSketch(const FoParams& params, double p)
+      : FoSketch(params, 0.5, p - 0.5),
+        d_(params.domain),
         k_(HrOracle::HadamardSize(params.domain)),
-        p_(HrOracle::KeepProbability(params.epsilon)),
-        support_counts_(params.domain, 0),
+        p_(p),
         pending_columns_(k_, 0) {}
 
   void AddUser(uint32_t true_value, Rng& rng) override {
@@ -46,7 +46,7 @@ class HrSketch final : public FoSketch {
     // Server side: O(1) — just count the column. The per-value support
     // ("all v whose row is positive at y", formerly an O(d) popcount sweep
     // per report) falls out of one Walsh–Hadamard transform of the column
-    // histogram at resolve time; see ResolvePending.
+    // histogram at resolve time; see Resolve.
     TallyColumn(y);
     ++num_users_;
   }
@@ -60,8 +60,8 @@ class HrSketch final : public FoSketch {
     // Per-bin marginals: own users support with probability p, all other
     // users with probability exactly 1/2.
     for (std::size_t v = 0; v < d_; ++v) {
-      support_counts_[v] += SampleBinomial(rng, true_counts[v], p_) +
-                            SampleBinomial(rng, n - true_counts[v], 0.5);
+      counts_[v] += SampleBinomial(rng, true_counts[v], p_) +
+                    SampleBinomial(rng, n - true_counts[v], 0.5);
     }
     num_users_ += n;
   }
@@ -90,54 +90,7 @@ class HrSketch final : public FoSketch {
     num_users_ += slice.count;
   }
 
-  void MergeFrom(const FoSketch& other) override {
-    const auto* peer = dynamic_cast<const HrSketch*>(&other);
-    if (peer == nullptr || peer == this || peer->d_ != d_ ||
-        peer->k_ != k_ || peer->p_ != p_) {
-      throw std::invalid_argument("HR merge: incompatible sketch");
-    }
-    ResolvePending();
-    peer->ResolvePending();
-    for (std::size_t v = 0; v < d_; ++v) {
-      support_counts_[v] += peer->support_counts_[v];
-    }
-    num_users_ += peer->num_users_;
-  }
-
-  void ExportResolvedCounts(Counts* out) const override {
-    ResolvePending();
-    *out = support_counts_;
-  }
-
-  bool AbsorbCounts(const uint64_t* counts, std::size_t count,
-                    uint64_t num_users) override {
-    if (count != d_) return false;
-    // The pending FWHT batch resolves into support_counts_ additively, so
-    // absorb order relative to resolution cannot change the result.
-    for (std::size_t v = 0; v < d_; ++v) support_counts_[v] += counts[v];
-    num_users_ += num_users;
-    return true;
-  }
-
-  void EstimateInto(Histogram* out) const override {
-    if (num_users_ == 0) throw std::logic_error("HR sketch has no users");
-    ResolvePending();
-    out->resize(d_);
-    Histogram& est = *out;
-    const double inv_n = 1.0 / static_cast<double>(num_users_);
-    fokernels::EstimateAffine(support_counts_.data(), d_, inv_n, 0.5,
-                              p_ - 0.5, est.data());
-  }
-
-  std::size_t domain() const override { return d_; }
-
- private:
-  void TallyColumn(uint64_t column) {
-    ++pending_columns_[column];
-    ++pending_count_;
-  }
-
-  // Folds the pending column histogram into support_counts_ via one
+  // Folds the pending column histogram into the support counts via one
   // unnormalized Walsh–Hadamard transform. For a batch of m reported
   // columns with histogram a[], W = FWHT(a) gives
   //   W[r] = sum_c a[c] * (-1)^popcount(r & c) = (#positive) - (#negative)
@@ -145,24 +98,31 @@ class HrSketch final : public FoSketch {
   // positive) is exactly (m + W[v+1]) / 2 — an integer, since m and W[r]
   // always share parity. This replaces m O(d) per-report sweeps with one
   // O(K log K) transform, exactly, in int64 (|W[r]| <= m).
-  void ResolvePending() const {
-    if (pending_count_ == 0) return;
+  uint64_t Resolve() const override {
+    const uint64_t resolved = pending_count_;
+    if (resolved == 0) return 0;
     fwht_scratch_ = pending_columns_;
     fokernels::Fwht(fwht_scratch_.data(), k_);
-    const int64_t m = static_cast<int64_t>(pending_count_);
+    const int64_t m = static_cast<int64_t>(resolved);
     for (std::size_t v = 0; v < d_; ++v) {
-      support_counts_[v] += static_cast<uint64_t>((m + fwht_scratch_[v + 1]) / 2);
+      counts_[v] += static_cast<uint64_t>((m + fwht_scratch_[v + 1]) / 2);
     }
     std::fill(pending_columns_.begin(), pending_columns_.end(), int64_t{0});
     pending_count_ = 0;
+    return resolved;
+  }
+
+ private:
+  void TallyColumn(uint64_t column) {
+    ++pending_columns_[column];
+    ++pending_count_;
   }
 
   std::size_t d_;
   uint64_t k_;
   double p_;
-  // Mutable: resolution from the const Estimate path is caching, not
-  // observable behaviour (same justification as OlhSketch's pending batch).
-  mutable Counts support_counts_;
+  // Mutable: resolution from a const read is caching, not observable
+  // behaviour (see FoSketch::counts_).
   mutable std::vector<int64_t> pending_columns_;
   mutable uint64_t pending_count_ = 0;
   mutable std::vector<int64_t> fwht_scratch_;
@@ -188,7 +148,7 @@ double HrOracle::KeepProbability(double epsilon) {
 std::unique_ptr<FoSketch> HrOracle::CreateSketch(
     const FoParams& params) const {
   ValidateFoParams(params);
-  return std::make_unique<HrSketch>(params);
+  return std::make_unique<HrSketch>(params, KeepProbability(params.epsilon));
 }
 
 double HrOracle::Variance(double epsilon, uint64_t n, std::size_t domain,

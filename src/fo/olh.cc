@@ -24,11 +24,12 @@ inline uint64_t HashToBucket(uint64_t seed, uint32_t v, uint64_t g) {
 
 class OlhSketch final : public FoSketch {
  public:
-  explicit OlhSketch(const FoParams& params)
-      : d_(params.domain),
-        g_(OlhOracle::BucketCount(params.epsilon)),
-        p_(OlhOracle::KeepProbability(params.epsilon)),
-        support_counts_(params.domain, 0) {}
+  OlhSketch(const FoParams& params, uint64_t g, double p)
+      : FoSketch(params, 1.0 / static_cast<double>(g),
+                 p - 1.0 / static_cast<double>(g)),
+        d_(params.domain),
+        g_(g),
+        p_(p) {}
 
   void AddUser(uint32_t true_value, Rng& rng) override {
     if (true_value >= d_) throw std::out_of_range("OLH value out of domain");
@@ -40,11 +41,11 @@ class OlhSketch final : public FoSketch {
       report = (r >= own_bucket) ? r + 1 : r;
     }
     // The server-side support scan is deferred: reports accumulate per seed
-    // and are resolved in value-major batches (ResolvePending), instead of
+    // and are resolved in value-major batches (Resolve), instead of
     // one O(d) hash sweep per user interleaved with the client sampling.
     pending_seeds_.push_back(seed);
     pending_reports_.push_back(report);
-    if (pending_seeds_.size() >= kResolveBatch) ResolvePending();
+    if (pending_seeds_.size() >= kResolveBatch) Resolve();
     ++num_users_;
   }
 
@@ -56,8 +57,8 @@ class OlhSketch final : public FoSketch {
     for (uint64_t m : true_counts) n += m;
     const double q = 1.0 / static_cast<double>(g_);
     for (std::size_t k = 0; k < d_; ++k) {
-      support_counts_[k] += SampleBinomial(rng, true_counts[k], p_) +
-                            SampleBinomial(rng, n - true_counts[k], q);
+      counts_[k] += SampleBinomial(rng, true_counts[k], p_) +
+                    SampleBinomial(rng, n - true_counts[k], q);
     }
     num_users_ += n;
   }
@@ -69,7 +70,7 @@ class OlhSketch final : public FoSketch {
     // bookkeeping, so batching does not change any count.
     pending_seeds_.push_back(report.olh.seed);
     pending_reports_.push_back(report.olh.bucket);
-    if (pending_seeds_.size() >= kResolveBatch) ResolvePending();
+    if (pending_seeds_.size() >= kResolveBatch) Resolve();
     ++num_users_;
     return true;
   }
@@ -94,87 +95,43 @@ class OlhSketch final : public FoSketch {
       }
     }
     num_users_ += slice.count;
-    if (pending_seeds_.size() >= kResolveBatch) ResolvePending();
+    if (pending_seeds_.size() >= kResolveBatch) Resolve();
   }
 
-  void MergeFrom(const FoSketch& other) override {
-    const auto* peer = dynamic_cast<const OlhSketch*>(&other);
-    if (peer == nullptr || peer == this || peer->d_ != d_ ||
-        peer->g_ != g_ || peer->p_ != p_) {
-      throw std::invalid_argument("OLH merge: incompatible sketch");
+  // Tallies the pending reports into the support counts value-major: the
+  // per-value count accumulates in a register while the compact seed/bucket
+  // columns are streamed, instead of walking the d-sized count array once
+  // per user. The scan itself (SIMD hash + exact `% g` + match count)
+  // lives in fokernels::OlhSupportScan and computes precisely
+  // HashToBucket(seed, k, g) == bucket per pair.
+  uint64_t Resolve() const override {
+    const std::size_t resolved = pending_seeds_.size();
+    for (std::size_t off = 0; off < resolved; off += kResolveBatch) {
+      const std::size_t n = std::min(kResolveBatch, resolved - off);
+      fokernels::OlhSupportScan(pending_seeds_.data() + off,
+                                pending_reports_.data() + off, n, d_, g_,
+                                counts_.data());
     }
-    peer->ResolvePending();
-    for (std::size_t k = 0; k < d_; ++k) {
-      support_counts_[k] += peer->support_counts_[k];
-    }
-    num_users_ += peer->num_users_;
+    pending_seeds_.clear();
+    pending_reports_.clear();
+    return resolved;
   }
-
-  void ExportResolvedCounts(Counts* out) const override {
-    ResolvePending();
-    *out = support_counts_;
-  }
-
-  bool AbsorbCounts(const uint64_t* counts, std::size_t count,
-                    uint64_t num_users) override {
-    if (count != d_) return false;
-    // Pending reports resolve into support_counts_ by pure integer adds,
-    // so absorbing before or after resolution is bit-identical.
-    for (std::size_t k = 0; k < d_; ++k) support_counts_[k] += counts[k];
-    num_users_ += num_users;
-    return true;
-  }
-
-  void EstimateInto(Histogram* out) const override {
-    if (num_users_ == 0) throw std::logic_error("OLH sketch has no users");
-    ResolvePending();
-    out->resize(d_);
-    Histogram& est = *out;
-    const double inv_n = 1.0 / static_cast<double>(num_users_);
-    const double q = 1.0 / static_cast<double>(g_);
-    fokernels::EstimateAffine(support_counts_.data(), d_, inv_n, q, p_ - q,
-                              est.data());
-  }
-
-  std::size_t domain() const override { return d_; }
 
  private:
   // Batch size for deferred resolution: large enough to amortize the sweep
   // setup, small enough that the pending columns (16 B per report) stay in
   // L1 while every one of the d value sweeps re-reads them. AddReports may
-  // grow the batch past this before resolving; ResolvePending re-chunks the
-  // scan to this window so the streamed columns never fall out of L1.
-  // Counts are plain integer adds, so the chunking never changes a count.
+  // grow the batch past this before resolving; Resolve re-chunks the scan
+  // to this window so the streamed columns never fall out of L1. Counts
+  // are plain integer adds, so the chunking never changes a count.
   static constexpr std::size_t kResolveBatch = 512;
-
-  // Tallies the pending reports into support_counts_ value-major: the
-  // per-value count accumulates in a register while the compact seed/bucket
-  // columns are streamed, instead of walking the d-sized count array once
-  // per user. The scan itself (4-lane hash + exact `% g` + match count)
-  // lives in fokernels::OlhSupportScan and computes precisely
-  // HashToBucket(seed, k, g) == bucket per pair. Resolution is pure
-  // bookkeeping (no RNG), so deferring it does not change any count.
-  void ResolvePending() const {
-    for (std::size_t off = 0; off < pending_seeds_.size();
-         off += kResolveBatch) {
-      const std::size_t n =
-          std::min(kResolveBatch, pending_seeds_.size() - off);
-      fokernels::OlhSupportScan(pending_seeds_.data() + off,
-                                pending_reports_.data() + off, n, d_, g_,
-                                support_counts_.data());
-    }
-    pending_seeds_.clear();
-    pending_reports_.clear();
-  }
 
   std::size_t d_;
   uint64_t g_;
   double p_;
-  // Mutable: resolution from the const Estimate path is caching, not
-  // observable behaviour (same justification as StreamDataset's count cache).
-  mutable Counts support_counts_;
   // Not-yet-resolved client reports, struct-of-arrays so the resolve scan
-  // streams plain u64 columns.
+  // streams plain u64 columns. Mutable: resolution from a const read is
+  // caching, not observable behaviour (see FoSketch::counts_).
   mutable std::vector<uint64_t> pending_seeds_;
   mutable std::vector<uint64_t> pending_reports_;
 };
@@ -200,7 +157,8 @@ double OlhOracle::KeepProbability(double epsilon) {
 std::unique_ptr<FoSketch> OlhOracle::CreateSketch(
     const FoParams& params) const {
   ValidateFoParams(params);
-  return std::make_unique<OlhSketch>(params);
+  return std::make_unique<OlhSketch>(params, BucketCount(params.epsilon),
+                                     KeepProbability(params.epsilon));
 }
 
 double OlhOracle::Variance(double epsilon, uint64_t n, std::size_t domain,

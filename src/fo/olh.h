@@ -9,8 +9,12 @@
 //
 // The cohort path draws per-bin support counts from their exact marginal
 // distribution Binomial(m_k, p) + Binomial(n - m_k, 1/g) (cross-bin
-// correlations, which no estimator here uses, are not reproduced — see
-// DESIGN.md §3).
+// correlations, which no estimator here uses, are not reproduced).
+//
+// The server's support scan costs O(d) hashes per report, so the sketch
+// defers it: reports queue as (seed, bucket) columns and are tallied in
+// value-major batches by Resolve(). The serving layer runs that scan on
+// the shard lanes before the shard merge (service/ingest.h).
 #ifndef LDPIDS_FO_OLH_H_
 #define LDPIDS_FO_OLH_H_
 

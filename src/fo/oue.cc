@@ -17,16 +17,14 @@ namespace {
 
 class OueSketch final : public FoSketch {
  public:
-  explicit OueSketch(const FoParams& params)
-      : d_(params.domain),
-        q_(OueOracle::ZeroFlipProbability(params.epsilon)),
-        one_counts_(params.domain, 0) {}
+  OueSketch(const FoParams& params, double q)
+      : FoSketch(params, q, 0.5 - q), d_(params.domain), q_(q) {}
 
   void AddUser(uint32_t true_value, Rng& rng) override {
     if (true_value >= d_) throw std::out_of_range("OUE value out of domain");
     for (std::size_t k = 0; k < d_; ++k) {
       const double pr = (k == true_value) ? 0.5 : q_;
-      if (rng.Bernoulli(pr)) ++one_counts_[k];
+      if (rng.Bernoulli(pr)) ++counts_[k];
     }
     ++num_users_;
   }
@@ -40,8 +38,8 @@ class OueSketch final : public FoSketch {
     // OUE bits are independent across positions, so the per-bin aggregate is
     // exactly Binomial(m_k, 1/2) + Binomial(n - m_k, q).
     for (std::size_t k = 0; k < d_; ++k) {
-      one_counts_[k] += SampleBinomial(rng, true_counts[k], 0.5) +
-                        SampleBinomial(rng, n - true_counts[k], q_);
+      counts_[k] += SampleBinomial(rng, true_counts[k], 0.5) +
+                    SampleBinomial(rng, n - true_counts[k], q_);
     }
     num_users_ += n;
   }
@@ -50,7 +48,7 @@ class OueSketch final : public FoSketch {
     if (report.oracle != OracleId::kOue) return false;
     if (report.bits.bits.size() != d_) return false;
     for (std::size_t k = 0; k < d_; ++k) {
-      if (report.bits.bits[k]) ++one_counts_[k];
+      if (report.bits.bits[k]) ++counts_[k];
     }
     ++num_users_;
     return true;
@@ -62,49 +60,13 @@ class OueSketch final : public FoSketch {
     // time through a rebuilt std::vector<bool>.
     fokernels::FoldBitColumns(slice.arena->bit_words(),
                               slice.arena->words_per_report(), slice.indices,
-                              slice.count, d_, one_counts_.data());
+                              slice.count, d_, counts_.data());
     num_users_ += slice.count;
   }
-
-  void MergeFrom(const FoSketch& other) override {
-    const auto* peer = dynamic_cast<const OueSketch*>(&other);
-    if (peer == nullptr || peer == this || peer->d_ != d_ ||
-        peer->q_ != q_) {
-      throw std::invalid_argument("OUE merge: incompatible sketch");
-    }
-    for (std::size_t k = 0; k < d_; ++k) {
-      one_counts_[k] += peer->one_counts_[k];
-    }
-    num_users_ += peer->num_users_;
-  }
-
-  void ExportResolvedCounts(Counts* out) const override {
-    *out = one_counts_;
-  }
-
-  bool AbsorbCounts(const uint64_t* counts, std::size_t count,
-                    uint64_t num_users) override {
-    if (count != d_) return false;
-    for (std::size_t k = 0; k < d_; ++k) one_counts_[k] += counts[k];
-    num_users_ += num_users;
-    return true;
-  }
-
-  void EstimateInto(Histogram* out) const override {
-    if (num_users_ == 0) throw std::logic_error("OUE sketch has no users");
-    out->resize(d_);
-    Histogram& est = *out;
-    const double inv_n = 1.0 / static_cast<double>(num_users_);
-    fokernels::EstimateAffine(one_counts_.data(), d_, inv_n, q_, 0.5 - q_,
-                              est.data());
-  }
-
-  std::size_t domain() const override { return d_; }
 
  private:
   std::size_t d_;
   double q_;
-  Counts one_counts_;
 };
 
 }  // namespace
@@ -116,7 +78,8 @@ double OueOracle::ZeroFlipProbability(double epsilon) {
 std::unique_ptr<FoSketch> OueOracle::CreateSketch(
     const FoParams& params) const {
   ValidateFoParams(params);
-  return std::make_unique<OueSketch>(params);
+  return std::make_unique<OueSketch>(params,
+                                     ZeroFlipProbability(params.epsilon));
 }
 
 double OueOracle::Variance(double epsilon, uint64_t n, std::size_t domain,

@@ -17,10 +17,8 @@ namespace {
 
 class SueSketch final : public FoSketch {
  public:
-  explicit SueSketch(const FoParams& params)
-      : d_(params.domain),
-        p_(SueOracle::KeepProbability(params.epsilon)),
-        one_counts_(params.domain, 0) {}
+  SueSketch(const FoParams& params, double p)
+      : FoSketch(params, 1.0 - p, p - (1.0 - p)), d_(params.domain), p_(p) {}
 
   void AddUser(uint32_t true_value, Rng& rng) override {
     if (true_value >= d_) throw std::out_of_range("SUE value out of domain");
@@ -28,7 +26,7 @@ class SueSketch final : public FoSketch {
       // True bit (1 for the held value, 0 otherwise) sent faithfully w.p. p.
       const bool bit_is_one = (k == true_value);
       const double pr_one = bit_is_one ? p_ : 1.0 - p_;
-      if (rng.Bernoulli(pr_one)) ++one_counts_[k];
+      if (rng.Bernoulli(pr_one)) ++counts_[k];
     }
     ++num_users_;
   }
@@ -40,8 +38,8 @@ class SueSketch final : public FoSketch {
     uint64_t n = 0;
     for (uint64_t m : true_counts) n += m;
     for (std::size_t k = 0; k < d_; ++k) {
-      one_counts_[k] += SampleBinomial(rng, true_counts[k], p_) +
-                        SampleBinomial(rng, n - true_counts[k], 1.0 - p_);
+      counts_[k] += SampleBinomial(rng, true_counts[k], p_) +
+                    SampleBinomial(rng, n - true_counts[k], 1.0 - p_);
     }
     num_users_ += n;
   }
@@ -50,7 +48,7 @@ class SueSketch final : public FoSketch {
     if (report.oracle != OracleId::kSue) return false;
     if (report.bits.bits.size() != d_) return false;
     for (std::size_t k = 0; k < d_; ++k) {
-      if (report.bits.bits[k]) ++one_counts_[k];
+      if (report.bits.bits[k]) ++counts_[k];
     }
     ++num_users_;
     return true;
@@ -59,50 +57,13 @@ class SueSketch final : public FoSketch {
   void AddReports(const ArenaSlice& slice) override {
     fokernels::FoldBitColumns(slice.arena->bit_words(),
                               slice.arena->words_per_report(), slice.indices,
-                              slice.count, d_, one_counts_.data());
+                              slice.count, d_, counts_.data());
     num_users_ += slice.count;
   }
-
-  void MergeFrom(const FoSketch& other) override {
-    const auto* peer = dynamic_cast<const SueSketch*>(&other);
-    if (peer == nullptr || peer == this || peer->d_ != d_ ||
-        peer->p_ != p_) {
-      throw std::invalid_argument("SUE merge: incompatible sketch");
-    }
-    for (std::size_t k = 0; k < d_; ++k) {
-      one_counts_[k] += peer->one_counts_[k];
-    }
-    num_users_ += peer->num_users_;
-  }
-
-  void ExportResolvedCounts(Counts* out) const override {
-    *out = one_counts_;
-  }
-
-  bool AbsorbCounts(const uint64_t* counts, std::size_t count,
-                    uint64_t num_users) override {
-    if (count != d_) return false;
-    for (std::size_t k = 0; k < d_; ++k) one_counts_[k] += counts[k];
-    num_users_ += num_users;
-    return true;
-  }
-
-  void EstimateInto(Histogram* out) const override {
-    if (num_users_ == 0) throw std::logic_error("SUE sketch has no users");
-    out->resize(d_);
-    Histogram& est = *out;
-    const double inv_n = 1.0 / static_cast<double>(num_users_);
-    const double q = 1.0 - p_;
-    fokernels::EstimateAffine(one_counts_.data(), d_, inv_n, q, p_ - q,
-                              est.data());
-  }
-
-  std::size_t domain() const override { return d_; }
 
  private:
   std::size_t d_;
   double p_;
-  Counts one_counts_;
 };
 
 }  // namespace
@@ -115,7 +76,7 @@ double SueOracle::KeepProbability(double epsilon) {
 std::unique_ptr<FoSketch> SueOracle::CreateSketch(
     const FoParams& params) const {
   ValidateFoParams(params);
-  return std::make_unique<SueSketch>(params);
+  return std::make_unique<SueSketch>(params, KeepProbability(params.epsilon));
 }
 
 double SueOracle::Variance(double epsilon, uint64_t n, std::size_t domain,

@@ -264,10 +264,15 @@ void ReportRouter::IngestStaged(std::size_t num_threads) {
         static_cast<uint32_t>(i));
   }
 
-  // Stage 3: per-shard dedup + one vectorized fold per shard.
+  // Stage 3: per-shard dedup + one vectorized fold per shard. A parallel
+  // fold also finishes the shard's deferred per-report work (OLH's O(d)
+  // support scan, HR's FWHT batch) while it still owns its lane; the
+  // serial path calls this once per staging block and leaves that to
+  // Close, so HR still transforms once per round.
   ParallelFor(num_threads, k, [&](std::size_t shard) {
     shards_[shard].IngestSlice(arena_, slices_[shard].data(),
                                slices_[shard].size());
+    if (num_threads > 1) shards_[shard].sketch().Resolve();
   });
 }
 
@@ -275,6 +280,10 @@ std::unique_ptr<FoSketch> ReportRouter::Close(IngestStats* stats) {
   if (closed_) throw std::logic_error("router already closed");
   closed_ = true;
   const uint64_t t0 = timing_ ? obs::NowNs() : 0;
+  // Resolve whatever the fold left deferred (a parallel fold leaves
+  // nothing), so the reduce below is pure count adds and the session's
+  // estimate scans nothing.
+  for (IngestShard& shard : shards_) shard.sketch().Resolve();
   std::unique_ptr<FoSketch> merged = shards_[0].TakeSketch();
   if (stats != nullptr) *stats += shards_[0].stats();
   for (std::size_t i = 1; i < shards_.size(); ++i) {

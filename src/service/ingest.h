@@ -5,10 +5,14 @@
 // holding K `IngestShard`s. Each shard decodes envelopes defensively
 // (typed `WireError` results, no exceptions on the hot path), validates
 // them against the round's oracle/timestamp/domain, and folds accepted
-// reports into its own `FoSketch`. At timestamp close the shards are
-// merged (`FoSketch::MergeFrom`) into one sketch whose estimate is
-// bit-identical to single-shard ingestion of the same packets — sketch
-// state is additive integer counts, so the partition never shows.
+// reports into its own `FoSketch`. Each shard finishes its deferred
+// per-report work (`FoSketch::Resolve`: OLH's O(d) support scan, HR's
+// FWHT batch) at the end of a parallel fold, on its own pool lane (a
+// serial or single-shard fold resolves at close). At timestamp close the shards are
+// merged (`FoSketch::MergeFrom`, pure count adds) into one sketch
+// whose estimate is bit-identical to single-shard ingestion of the same
+// packets — sketch state is additive integer counts, so neither the
+// partition nor where the scan ran ever shows.
 //
 // Batch path: `IngestBatch` stages the whole batch through a columnar
 // ReportArena (fo/report_arena.h) — every packet is decoded and
@@ -130,7 +134,8 @@ class IngestShard {
 struct RouterStageNanos {
   uint64_t arena_decode = 0;  // packets -> columnar rows (incl. checksums)
   uint64_t shard_fold = 0;    // nonce partition + per-shard dedup/fold
-  uint64_t merge = 0;         // shard sketch reduce at Close
+                              // (+ per-shard Resolve when parallel)
+  uint64_t merge = 0;         // Close: leftover Resolve + shard reduce
 };
 
 // Routes one round's packets across K shards and shard-reduces at close.
@@ -162,9 +167,12 @@ class ReportRouter {
   void IngestBatch(const std::vector<PayloadRef>& packets,
                    std::size_t num_threads);
 
-  // Merges all shards into one sketch and returns it, accumulating the
-  // shards' acceptance stats into `*stats` when non-null. The router is
-  // closed afterwards: further Ingest calls throw std::logic_error.
+  // Resolves whatever deferred work the shards still hold (none after a
+  // parallel IngestBatch over K > 1 shards, which resolves on the shard
+  // lanes), merges the
+  // shards into one fully resolved sketch and returns it, accumulating
+  // the shards' acceptance stats into `*stats` when non-null. The router
+  // is closed afterwards: further Ingest calls throw std::logic_error.
   std::unique_ptr<FoSketch> Close(IngestStats* stats = nullptr);
 
   std::size_t num_shards() const { return shards_.size(); }

@@ -2,7 +2,7 @@
 //
 // Everything is built on `Rng` so results are reproducible. The binomial
 // sampler matters most: the cohort-mode frequency-oracle simulation
-// (DESIGN.md section 3) replaces O(n) per-user coin flips with O(d) binomial
+// (FoSketch::AddCohort) replaces O(n) per-user coin flips with O(d) binomial
 // draws, so the sampler must be exact and fast for n up to ~10^6.
 #ifndef LDPIDS_UTIL_DISTRIBUTIONS_H_
 #define LDPIDS_UTIL_DISTRIBUTIONS_H_

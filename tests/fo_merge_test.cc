@@ -5,6 +5,7 @@
 // of the same reports — exactly (bitwise) for the deterministic wire path,
 // and as the exact count-weighted combination for the sampled simulation
 // paths.
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -157,6 +158,33 @@ TEST_P(FoMergeTest, MergingAnEmptyShardIsANoOpOnTheEstimate) {
   EXPECT_EQ(filled->num_users(), kUsers);
 }
 
+TEST_P(FoMergeTest, ResolveFoldsDeferredWorkOnceWithoutChangingTheEstimate) {
+  // OLH queues reports and scans them in 512-report batches; HR queues
+  // columns until one FWHT resolves them; the other oracles fold eagerly.
+  // Resolve reports what it folded, then has nothing left, and where it
+  // runs never changes a count.
+  const OracleId oracle = GetParam();
+  const FrequencyOracle& fo = GetFrequencyOracle(OracleIdName(oracle));
+  const FoParams params{kEpsilon, kDomain};
+  const auto packets = MakePackets(oracle);
+  auto resolved = fo.CreateSketch(params);
+  auto lazy = fo.CreateSketch(params);
+  for (const auto& p : packets) {
+    ASSERT_TRUE(resolved->AddReport(MustDecode(p)));
+    ASSERT_TRUE(lazy->AddReport(MustDecode(p)));
+  }
+  uint64_t pending = 0;
+  if (oracle == OracleId::kOlh) pending = kUsers % 512;
+  if (oracle == OracleId::kHr) pending = kUsers;
+  EXPECT_EQ(resolved->Resolve(), pending);
+  EXPECT_EQ(resolved->Resolve(), 0u);
+  EXPECT_EQ(resolved->Estimate(), lazy->Estimate());
+  Counts exported;
+  lazy->ExportResolvedCounts(&exported);
+  EXPECT_EQ(lazy->Resolve(), 0u);
+  EXPECT_EQ(exported.size(), kDomain);
+}
+
 TEST_P(FoMergeTest, IncompatibleMergesThrow) {
   const OracleId oracle = GetParam();
   const FrequencyOracle& fo = GetFrequencyOracle(OracleIdName(oracle));
@@ -168,6 +196,9 @@ TEST_P(FoMergeTest, IncompatibleMergesThrow) {
   // Different epsilon (different perturbation probabilities).
   auto other_eps = fo.CreateSketch({kEpsilon * 3.0, kDomain});
   EXPECT_THROW(sketch->MergeFrom(*other_eps), std::invalid_argument);
+  // Epsilon one ulp away: compared exactly, like the partial-sketch wire.
+  auto ulp_eps = fo.CreateSketch({std::nextafter(kEpsilon, 2.0), kDomain});
+  EXPECT_THROW(sketch->MergeFrom(*ulp_eps), std::invalid_argument);
   // Different oracle.
   for (OracleId other : AllOracleIds()) {
     if (other == oracle) continue;

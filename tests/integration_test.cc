@@ -1,7 +1,6 @@
 // End-to-end reproductions of the paper's qualitative findings, at reduced
-// scale so they run in seconds. These are the "shape" assertions from
-// DESIGN.md §5 in test form; the bench harness reproduces the full-size
-// numbers.
+// scale so they run in seconds. These are the paper's "shape" claims in
+// test form; the figure benches reproduce the full-size numbers.
 #include <cmath>
 
 #include <gtest/gtest.h>

@@ -162,6 +162,53 @@ TEST_P(RouterShardingTest, MergedShardsMatchSingleShardBitForBit) {
   }
 }
 
+TEST_P(RouterShardingTest, CloseLeavesNoDeferredWorkForTheEstimate) {
+  // Every shard's deferred per-report work (OLH's support scan, HR's FWHT
+  // batch) is resolved by the end of Close, so the sketch it returns
+  // has nothing left for the session's estimate to resolve; a parallel
+  // fold resolves each shard on its lane before Close even starts. 300
+  // reports keep every shard under OLH's 512-report resolve batch, the
+  // case whose scan used to wait for the merge and the estimate.
+  const OracleId oracle = GetParam();
+  const FrequencyOracle& fo = GetFrequencyOracle(OracleIdName(oracle));
+  const FoParams params{kEpsilon, kDomain};
+  const auto packets = RoundPackets(oracle, 5, 300);
+  auto reference = fo.CreateSketch(params);
+  for (const auto& p : packets) {
+    DecodedReport report;
+    ASSERT_EQ(TryDecodeReport(p, kDomain, &report), WireError::kOk);
+    ASSERT_TRUE(reference->AddReport(report));
+  }
+  const Histogram expected = reference->Estimate();
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {1u, 2u}) {
+      ReportRouter router(fo, params, oracle, 5, shards);
+      router.IngestBatch(packets, threads);
+      if (threads > 1 && shards > 1) {
+        for (std::size_t s = 0; s < shards; ++s) {
+          EXPECT_EQ(router.shard(s).sketch().Resolve(), 0u)
+              << OracleIdName(oracle) << " shards=" << shards << " shard "
+              << s;
+        }
+      }
+      auto merged = router.Close(nullptr);
+      EXPECT_EQ(merged->Resolve(), 0u)
+          << OracleIdName(oracle) << " shards=" << shards
+          << " threads=" << threads;
+      EXPECT_EQ(merged->Estimate(), expected);
+    }
+  }
+  // The per-packet path resolves at Close too (inline: it has no lanes).
+  ReportRouter serial(fo, params, oracle, 5, 3);
+  for (const auto& p : packets) {
+    ASSERT_EQ(serial.Ingest(p), IngestResult::kAccepted);
+  }
+  auto merged = serial.Close(nullptr);
+  EXPECT_EQ(merged->Resolve(), 0u) << OracleIdName(oracle);
+  EXPECT_EQ(merged->Estimate(), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOracles, RouterShardingTest,
                          ::testing::ValuesIn(AllOracleIds()),
                          [](const auto& info) {
