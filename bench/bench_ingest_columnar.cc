@@ -88,13 +88,15 @@ double BestRate(const FrequencyOracle& fo, OracleId oracle,
                 obs::MetricsRegistry* metrics, const RunFn& run) {
   double best = 0.0;
   Histogram estimate;
-  // Feeds and stage set register once, outside the timed window; with
+  // Feeds and stage sink register once, outside the timed window; with
   // --metrics the window itself pays the router's stage clock reads plus
-  // the per-rep counter publication — the instrumented serving cost.
-  std::unique_ptr<obs::StageSet> stages;
+  // the per-rep stage events and counter publication — the instrumented
+  // serving cost.
+  std::unique_ptr<obs::StageSink> stages;
   std::unique_ptr<obs::IngestStatsFeed> feed;
   if (metrics != nullptr) {
-    stages = std::make_unique<obs::StageSet>(metrics, OracleIdName(oracle));
+    stages = std::make_unique<obs::StageSink>(metrics, OracleIdName(oracle),
+                                              /*recorder=*/nullptr);
     feed = std::make_unique<obs::IngestStatsFeed>(
         metrics, obs::Labels{{"session", OracleIdName(oracle)}});
   }
@@ -108,10 +110,12 @@ double BestRate(const FrequencyOracle& fo, OracleId oracle,
     auto sketch = router.Close(&stats);
     sketch->EstimateInto(&estimate);
     if (stages != nullptr) {
-      stages->Record(obs::Stage::kArenaDecode,
-                     router.stage_nanos().arena_decode);
-      stages->Record(obs::Stage::kShardFold, router.stage_nanos().shard_fold);
-      stages->Record(obs::Stage::kMerge, router.stage_nanos().merge);
+      // Histograms only, so each event needs just its duration.
+      const uint64_t round = static_cast<uint64_t>(rep);
+      const service::RouterStageNanos& busy = router.stage_nanos();
+      stages->Emit({obs::Stage::kArenaDecode, round, 0, busy.arena_decode});
+      stages->Emit({obs::Stage::kShardFold, round, 0, busy.shard_fold});
+      stages->Emit({obs::Stage::kMerge, round, 0, busy.merge});
       feed->Add(stats);
     }
     const double wall = Seconds(start);

@@ -16,6 +16,7 @@
 #include "fo/report_arena.h"
 #include "fo/wire.h"
 #include "fo/wire_internal.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "transport/frame.h"
@@ -473,7 +474,7 @@ BENCHMARK(BM_MechanismStep)->DenseRange(0, 6);
 // --- src/obs/ hot-path overhead -------------------------------------------
 // These pin the cost of the metrics primitives the serving layer pays per
 // event: one relaxed fetch_add per counter hit, three per histogram
-// observation, plus one steady_clock read per StageTimer endpoint. A
+// observation, plus one steady_clock read per stage-event endpoint. A
 // regression here is a regression on every instrumented hot path.
 
 void BM_ObsCounterAdd(benchmark::State& state) {
@@ -498,17 +499,23 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramObserve);
 
-void BM_ObsStageTimer(benchmark::State& state) {
-  // Full RAII cycle: two NowNs clock reads plus the bucketed Observe —
-  // what one instrumented pipeline stage costs per round.
+void BM_ObsStageEmit(benchmark::State& state) {
+  // What one instrumented pipeline stage costs per round: two NowNs clock
+  // reads plus one StageSink::Emit. Arg 0 feeds the stage histogram only;
+  // Arg 1 also records the event on a flight-recorder track.
   obs::MetricsRegistry registry;
-  obs::StageSet stages(&registry, "bm");
+  obs::FlightRecorder recorder;
+  obs::StageSink sink(&registry, "bm",
+                      state.range(0) != 0 ? &recorder : nullptr);
+  uint64_t round = 0;
   for (auto _ : state) {
-    obs::StageTimer timer(&stages, obs::Stage::kMerge);
-    benchmark::DoNotOptimize(&timer);
+    const uint64_t t0 = obs::NowNs();
+    sink.Emit({obs::Stage::kMerge, round++, t0, obs::NowNs()});
+    benchmark::ClobberMemory();
   }
+  state.SetLabel(state.range(0) != 0 ? "histogram+recorder" : "histogram");
 }
-BENCHMARK(BM_ObsStageTimer);
+BENCHMARK(BM_ObsStageEmit)->Arg(0)->Arg(1);
 
 void BM_ObsRegistrySnapshot(benchmark::State& state) {
   // Scrape cost at a realistic registry size (the live_service socket run

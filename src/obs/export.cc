@@ -6,13 +6,42 @@
 
 namespace ldpids::obs {
 
-namespace {
-
 void AppendU64(std::string* out, uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   *out += buf;
 }
+
+void AppendJsonString(std::string* out, const std::string& s) {
+  *out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
+  *out += '"';
+}
+
+namespace {
 
 void AppendI64(std::string* out, int64_t v) {
   char buf[24];
@@ -45,35 +74,6 @@ void AppendTypeHeader(std::string* out, std::string* last_name,
   *out += ' ';
   *out += type;
   *out += '\n';
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
 }
 
 void AppendJsonLabels(std::string* out, const Labels& labels) {

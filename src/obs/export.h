@@ -5,11 +5,18 @@
 #ifndef LDPIDS_OBS_EXPORT_H_
 #define LDPIDS_OBS_EXPORT_H_
 
+#include <cstdint>
 #include <string>
 
 #include "obs/metrics.h"
 
 namespace ldpids::obs {
+
+// The JSON building blocks every obs renderer shares (metrics JSON, the
+// Chrome trace, the health report): a decimal uint64, and a quoted JSON
+// string with `"`, `\` and control characters escaped.
+void AppendU64(std::string* out, uint64_t v);
+void AppendJsonString(std::string* out, const std::string& s);
 
 // Prometheus text exposition (version 0.0.4 shape):
 //   # TYPE ldpids_frames_total counter

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+
+#include "obs/export.h"
 
 namespace ldpids::obs {
 
@@ -14,28 +15,6 @@ std::size_t RoundUpPow2(std::size_t n) {
   return p;
 }
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  int n = std::snprintf(buf, sizeof(buf), "%llu",
-                        static_cast<unsigned long long>(v));
-  out->append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -45,11 +24,9 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 
 uint32_t FlightRecorder::RegisterTrack(const std::string& name) {
   std::lock_guard<std::mutex> lock(tracks_mu_);
-  if (tracks_.size() >= kMaxTracks) {
-    // Table full: alias everything past the cap onto the last slot
-    // rather than crash — observability must never take the plane down.
-    return static_cast<uint32_t>(kMaxTracks - 1);
-  }
+  // Table full: a typed, counted outcome (see kNoTrack) — never a crash,
+  // and never another session's track.
+  if (tracks_.size() >= kMaxTracks) return kNoTrack;
   auto state = std::make_unique<TrackState>();
   state->name = name;
   tracks_.push_back(std::move(state));
@@ -73,6 +50,11 @@ void FlightRecorder::CloseTrack(uint32_t track) {
 void FlightRecorder::Record(uint32_t track, Stage stage, uint64_t round_index,
                             uint64_t t_start_ns, uint64_t t_end_ns,
                             uint64_t reports, uint64_t drops) {
+  TrackState* state = track_state(track);
+  if (state == nullptr) {
+    untracked_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[static_cast<std::size_t>(ticket) & mask_];
   // Invalidate, write fields, publish. A reader that raced sees seq
@@ -87,7 +69,8 @@ void FlightRecorder::Record(uint32_t track, Stage stage, uint64_t round_index,
   slot.drops.store(drops, std::memory_order_relaxed);
   slot.seq.store(ticket + 1, std::memory_order_release);
 
-  EndStage(track, stage);
+  state->in_flight[static_cast<std::size_t>(stage)].start_ns.store(
+      0, std::memory_order_release);
 }
 
 void FlightRecorder::BeginStage(uint32_t track, Stage stage,
@@ -139,6 +122,7 @@ FlightRecorderSnapshot FlightRecorder::Snapshot() const {
 
   const uint64_t total = next_.load(std::memory_order_acquire);
   snap.total_recorded = total;
+  snap.untracked_events = untracked_.load(std::memory_order_relaxed);
   const uint64_t cap = slots_.size();
   const uint64_t first = total > cap ? total - cap : 0;
   snap.dropped = first;
@@ -179,9 +163,9 @@ std::string RenderChromeTrace(const FlightRecorderSnapshot& snap) {
     first = false;
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     AppendU64(&out, i);
-    out += ",\"args\":{\"name\":\"";
-    AppendEscaped(&out, snap.tracks[i]);
-    out += "\"}}";
+    out += ",\"args\":{\"name\":";
+    AppendJsonString(&out, snap.tracks[i]);
+    out += "}}";
   }
   for (const RoundEvent& ev : snap.events) {
     if (!first) out += ',';

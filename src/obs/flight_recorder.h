@@ -75,6 +75,10 @@ struct FlightRecorderSnapshot {
   std::vector<InFlightStage> in_flight;
   uint64_t total_recorded = 0;  // lifetime events, including overwritten
   uint64_t dropped = 0;         // overwritten by ring wraparound
+  // Events recorded against kNoTrack (a session registered after the
+  // track table filled up) or any other unregistered id: counted here,
+  // never stored.
+  uint64_t untracked_events = 0;
 };
 
 class FlightRecorder {
@@ -86,15 +90,25 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
+  // Track table size: 1024 sessions per process is far beyond anything
+  // the fleet harness spins up.
+  static constexpr std::size_t kMaxTracks = 1024;
+  // Returned by RegisterTrack once kMaxTracks tracks exist. Every call
+  // taking it is a no-op, except Record, which counts the event as
+  // untracked_events instead of storing it on someone else's track.
+  static constexpr uint32_t kNoTrack = 0xFFFFFFFFu;
+
   // Registers a named track (mutex-protected; once per session, off the
-  // hot path). Names need not be unique — ids are.
+  // hot path). Names need not be unique — ids are. Returns kNoTrack when
+  // the table is full.
   uint32_t RegisterTrack(const std::string& name);
   // Marks a track closed: its rounds are over, so the health model must
   // not read its silence as a stall. Idempotent.
   void CloseTrack(uint32_t track);
 
   // Records one completed stage window. Also clears the track's matching
-  // in-flight mark (if any). Wait-free.
+  // in-flight mark (if any). Wait-free. Sessions record through
+  // StageSink (obs/stage_trace.h), never directly.
   void Record(uint32_t track, Stage stage, uint64_t round_index,
               uint64_t t_start_ns, uint64_t t_end_ns, uint64_t reports = 0,
               uint64_t drops = 0);
@@ -143,10 +157,7 @@ class FlightRecorder {
 
   // Lock-free on the hot path: RegisterTrack publishes into a fixed
   // pointer table (release), Record/BeginStage/EndStage read it with a
-  // bounds check against the published count (acquire). 1024 sessions
-  // per process is far beyond anything the fleet harness spins up.
-  static constexpr std::size_t kMaxTracks = 1024;
-
+  // bounds check against the published count (acquire).
   TrackState* track_state(uint32_t track) const {
     if (track >= track_count_.load(std::memory_order_acquire)) return nullptr;
     return track_table_[track].load(std::memory_order_acquire);
@@ -155,6 +166,7 @@ class FlightRecorder {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::atomic<uint64_t> next_{0};  // lifetime event count / next ticket
+  std::atomic<uint64_t> untracked_{0};  // Record calls on kNoTrack
 
   mutable std::mutex tracks_mu_;  // serializes RegisterTrack only
   std::vector<std::unique_ptr<TrackState>> tracks_;  // owns TrackStates

@@ -2,36 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <vector>
 
+#include "obs/export.h"
+
 namespace ldpids::obs {
-
-namespace {
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  int n = std::snprintf(buf, sizeof(buf), "%llu",
-                        static_cast<unsigned long long>(v));
-  out->append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
-}  // namespace
 
 std::string HealthReport::ToJson() const {
   std::string out = "{\"live\":";
@@ -45,11 +20,11 @@ std::string HealthReport::ToJson() const {
   for (const StallFinding& s : stalls) {
     if (!first) out += ',';
     first = false;
-    out += "{\"session\":\"";
-    AppendEscaped(&out, s.session);
-    out += "\",\"stage\":\"";
-    AppendEscaped(&out, s.stage);
-    out += "\",\"round\":";
+    out += "{\"session\":";
+    AppendJsonString(&out, s.session);
+    out += ",\"stage\":";
+    AppendJsonString(&out, s.stage);
+    out += ",\"round\":";
     AppendU64(&out, s.round_index);
     out += ",\"age_ms\":";
     AppendU64(&out, s.age_ns / 1000000);

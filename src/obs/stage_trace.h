@@ -3,10 +3,15 @@
 // The serving data plane processes each round through a fixed sequence
 // of stages; under pipelining (pipeline_depth >= 2) round t+1's
 // transport overlaps round t's estimation, so per-stage durations are
-// the only way to see where a deployment's time actually goes. Each
-// stage gets one `ldpids_stage_duration_ns` histogram instance labeled
-// {stage=..., session=...}; a StageSet caches the eight histogram
-// pointers so recording a duration is a single Observe.
+// the only way to see where a deployment's time actually goes.
+//
+// Every stage observation is one StageEvent — an absolute steady-clock
+// window [t0, t1] of one stage of one round — emitted exactly once into
+// a StageSink. The sink feeds both consumers from that one event: the
+// `ldpids_stage_duration_ns{stage=..., session=...}` histogram observes
+// t1 − t0, and the session's flight-recorder track records the window.
+// So the histograms and the Chrome trace can never disagree about a
+// stage.
 #ifndef LDPIDS_OBS_STAGE_TRACE_H_
 #define LDPIDS_OBS_STAGE_TRACE_H_
 
@@ -17,6 +22,8 @@
 #include "obs/metrics.h"
 
 namespace ldpids::obs {
+
+class FlightRecorder;  // obs/flight_recorder.h
 
 // One pipeline stage of a round's life, in data-plane order.
 enum class Stage : uint8_t {
@@ -38,44 +45,58 @@ const char* StageName(Stage stage);
 // The metric family every stage duration lands in.
 inline constexpr char kStageDurationMetric[] = "ldpids_stage_duration_ns";
 
-// Caches the per-stage histogram handles for one session label so the
-// hot path never touches the registry mutex. Null-registry constructed
-// sets are inert: Record() is a no-op, so call sites don't branch.
-class StageSet {
- public:
-  StageSet() = default;
-  // Registers all kNumStages histograms labeled {session=session_label,
-  // stage=<name>} (session label omitted when empty).
-  StageSet(MetricsRegistry* registry, const std::string& session_label);
-
-  void Record(Stage stage, uint64_t duration_ns) {
-    Histogram* h = histograms_[static_cast<std::size_t>(stage)];
-    if (h != nullptr) h->Observe(duration_ns);
-  }
-
-  bool enabled() const { return histograms_[0] != nullptr; }
-
- private:
-  Histogram* histograms_[kNumStages] = {};
+// One completed stage of one round: absolute steady-clock window
+// [t0_ns, t1_ns] (t0_ns <= t1_ns), plus the round's accounting where the
+// stage has any (accepted reports or merged partials, and the rejects).
+struct StageEvent {
+  Stage stage = Stage::kAnnounce;
+  uint64_t round = 0;
+  uint64_t t0_ns = 0;
+  uint64_t t1_ns = 0;
+  uint64_t items = 0;
+  uint64_t drops = 0;
 };
 
-// RAII wall-clock timer recording into one stage on destruction.
-class StageTimer {
+// The one place stage events go. Either consumer is optional: a null
+// registry skips the histograms, a null recorder skips the trace, and a
+// default-constructed sink is inert (enabled() is false, Emit does
+// nothing). Registration — the histogram handles and the recorder track
+// — happens once at construction, so Emit never takes a lock. Not
+// copyable: the sink owns its track and closes it on destruction.
+class StageSink {
  public:
-  StageTimer(StageSet* set, Stage stage)
-      : set_(set), stage_(stage), start_ns_(NowNs()) {}
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-  ~StageTimer() {
-    if (set_ != nullptr) set_->Record(stage_, NowNs() - start_ns_);
-  }
+  StageSink() = default;
+  // Registers all kNumStages histograms labeled {stage=<name>,
+  // session=session_label} (session label omitted when empty) and one
+  // recorder track named session_label (or "session" when empty).
+  StageSink(MetricsRegistry* registry, const std::string& session_label,
+            FlightRecorder* recorder);
+  ~StageSink();
+  StageSink(const StageSink&) = delete;
+  StageSink& operator=(const StageSink&) = delete;
 
-  uint64_t elapsed_ns() const { return NowNs() - start_ns_; }
+  // True when any consumer is attached: callers build events only then.
+  bool enabled() const { return enabled_; }
+
+  // Observes t1 − t0 in the stage's histogram and records the window on
+  // the track (which also clears the stage's in-flight mark).
+  void Emit(const StageEvent& event);
+
+  // In-flight marks for the health model (obs/health.h): Begin publishes
+  // "this round entered `stage`"; the stage's next Emit, or End on a
+  // failure path, clears it. No-ops without a recorder.
+  void Begin(Stage stage, uint64_t round);
+  void End(Stage stage);
+
+  // Marks the track closed, so the health model reads the session's
+  // silence as finished, not stalled. Idempotent; also run on destruction.
+  void Close();
 
  private:
-  StageSet* set_;
-  Stage stage_;
-  uint64_t start_ns_;
+  bool enabled_ = false;
+  Histogram* histograms_[kNumStages] = {};
+  FlightRecorder* recorder_ = nullptr;
+  uint32_t track_ = 0;
 };
 
 }  // namespace ldpids::obs

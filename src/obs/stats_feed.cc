@@ -58,24 +58,6 @@ void FrameStatsFeed::Add(const transport::FrameStats& delta) {
   bad_control_->Add(delta.bad_control);
 }
 
-void FrameStatsFeed::Publish(const transport::FrameStats& current) {
-  transport::FrameStats delta = current;
-  delta.frames -= last_.frames;
-  delta.data_frames -= last_.data_frames;
-  delta.end_round_frames -= last_.end_round_frames;
-  delta.partial_sketch_frames -= last_.partial_sketch_frames;
-  delta.bytes -= last_.bytes;
-  delta.skipped_bytes -= last_.skipped_bytes;
-  delta.bad_magic -= last_.bad_magic;
-  delta.bad_version -= last_.bad_version;
-  delta.bad_kind -= last_.bad_kind;
-  delta.oversize -= last_.oversize;
-  delta.checksum_mismatch -= last_.checksum_mismatch;
-  delta.bad_control -= last_.bad_control;
-  Add(delta);
-  last_ = current;
-}
-
 // --- RoundBufferStatsFeed -------------------------------------------------
 
 RoundBufferStatsFeed::RoundBufferStatsFeed(MetricsRegistry* registry,
@@ -166,19 +148,6 @@ void ArenaDecodeStatsFeed::Add(const ArenaDecodeStats& delta) {
   }
 }
 
-void ArenaDecodeStatsFeed::Publish(const ArenaDecodeStats& current) {
-  ArenaDecodeStats delta = current;
-  delta.decoded -= last_.decoded;
-  delta.malformed -= last_.malformed;
-  delta.wrong_oracle -= last_.wrong_oracle;
-  delta.wrong_timestamp -= last_.wrong_timestamp;
-  for (std::size_t e = 0; e < kWireErrorCount; ++e) {
-    delta.wire_errors[e] -= last_.wire_errors[e];
-  }
-  Add(delta);
-  last_ = current;
-}
-
 // --- SketchMergeStatsFeed -------------------------------------------------
 
 SketchMergeStatsFeed::SketchMergeStatsFeed(MetricsRegistry* registry,
@@ -212,20 +181,6 @@ void SketchMergeStatsFeed::Add(const SketchMergeStats& delta) {
   params_mismatch_->Add(delta.params_mismatch);
   duplicate_node_->Add(delta.duplicate_node);
   missing_->Add(delta.missing);
-}
-
-void SketchMergeStatsFeed::Publish(const SketchMergeStats& current) {
-  SketchMergeStats delta = current;
-  delta.merged -= last_.merged;
-  delta.users_merged -= last_.users_merged;
-  delta.malformed -= last_.malformed;
-  delta.wrong_oracle -= last_.wrong_oracle;
-  delta.wrong_round -= last_.wrong_round;
-  delta.params_mismatch -= last_.params_mismatch;
-  delta.duplicate_node -= last_.duplicate_node;
-  delta.missing -= last_.missing;
-  Add(delta);
-  last_ = current;
 }
 
 // --- IngestStatsFeed ------------------------------------------------------

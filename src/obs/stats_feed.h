@@ -10,10 +10,14 @@
 // The structs stay the in-component source of truth (cheap plain
 // uint64 increments, per-round snapshots, ToString); a feed publishes
 // them into registry counters so exporters and scrapes see them under
-// stable names. Two publication styles:
+// stable names. Every feed takes deltas:
 //
 //   Add(delta)        — the caller hands a fresh delta (e.g. one round's
 //                       IngestStats); counters advance by it.
+//
+// Two feeds also take cumulative state, for components that only keep a
+// running total (RoundBuffer, StreamServer's fleet rollup):
+//
 //   Publish(current)  — the caller hands the component's cumulative
 //                       struct; the feed diffs it against the last
 //                       published state and adds the difference. Safe to
@@ -47,7 +51,6 @@ class FrameStatsFeed {
   FrameStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
 
   void Add(const transport::FrameStats& delta);
-  void Publish(const transport::FrameStats& current);
 
  private:
   Counter* frames_;
@@ -62,7 +65,6 @@ class FrameStatsFeed {
   Counter* oversize_;
   Counter* checksum_mismatch_;
   Counter* bad_control_;
-  transport::FrameStats last_;
 };
 
 // RoundBufferStats -> ldpids_roundbuf_{buffered,end_markers,rounds_drained,
@@ -100,7 +102,6 @@ class ArenaDecodeStatsFeed {
   ArenaDecodeStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
 
   void Add(const ArenaDecodeStats& delta);
-  void Publish(const ArenaDecodeStats& current);
 
  private:
   Counter* decoded_;
@@ -109,7 +110,6 @@ class ArenaDecodeStatsFeed {
   Counter* wrong_timestamp_;
   // Index 0 (kOk) stays null — a decoded packet is not a wire error.
   Counter* wire_errors_[kWireErrorCount] = {};
-  ArenaDecodeStats last_;
 };
 
 // SketchMergeStats -> ldpids_sketch_merge_partials_total{result=...} and
@@ -120,7 +120,6 @@ class SketchMergeStatsFeed {
   SketchMergeStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
 
   void Add(const SketchMergeStats& delta);
-  void Publish(const SketchMergeStats& current);
 
  private:
   Counter* merged_;
@@ -131,7 +130,6 @@ class SketchMergeStatsFeed {
   Counter* params_mismatch_;
   Counter* duplicate_node_;
   Counter* missing_;
-  SketchMergeStats last_;
 };
 
 // IngestStats -> ldpids_ingest_reports_total{result=<IngestResultName>}.

@@ -1,5 +1,6 @@
 #include "service/aggregator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -9,10 +10,38 @@
 #include "obs/stage_trace.h"
 #include "obs/stats_feed.h"
 #include "util/histogram.h"
+#include "util/rng.h"
 
 namespace ldpids::service {
 
 // --- AggregatorNode -------------------------------------------------------
+
+namespace {
+
+// The stage events of one locally ingested round: the transport call
+// [t0, t1], then the router's Close [t1, t2]. The router's decode and fold
+// time runs inside the transport call — as one window each when the round
+// arrives in one IngestBatch call — so it is cut off the end of the call,
+// fold last, and the three slices tile [t0, t1] exactly: transport_rtt is
+// the call's wall time minus the router's busy time.
+void AppendIngestEvents(uint64_t round, const RouterStageNanos& busy,
+                        uint64_t t0, uint64_t t1, uint64_t t2,
+                        RoundOutcome* out) {
+  const uint64_t fold0 = t1 - std::min(t1 - t0, busy.shard_fold);
+  const uint64_t decode0 = fold0 - std::min(fold0 - t0, busy.arena_decode);
+  const uint64_t accepted = out->stats.accepted;
+  const uint64_t rejected = out->stats.rejected();
+  out->events.reserve(4);
+  out->events.push_back(
+      {obs::Stage::kTransportRtt, round, t0, decode0, accepted, rejected});
+  out->events.push_back(
+      {obs::Stage::kArenaDecode, round, decode0, fold0, accepted, rejected});
+  out->events.push_back(
+      {obs::Stage::kShardFold, round, fold0, t1, accepted, rejected});
+  out->events.push_back({obs::Stage::kMerge, round, t1, t2, accepted, 0});
+}
+
+}  // namespace
 
 AggregatorNode::~AggregatorNode() = default;
 
@@ -48,23 +77,15 @@ void AggregatorNode::ExecuteRound(const RoundRequest& request,
   ReportRouter router(fo_, params, oracle_,
                       static_cast<uint32_t>(request.timestamp),
                       options_.num_shards);
-  uint64_t t0 = 0;
-  if (timed) {
-    router.EnableStageTiming();
-    t0 = obs::NowNs();
-  }
+  if (timed) router.EnableStageTiming();
+  const uint64_t t0 = timed ? obs::NowNs() : 0;
   ingest(request, router);
-  if (timed) {
-    out->ingest_start_ns = t0;
-    out->ingest_end_ns = obs::NowNs();
-    out->transport_ns = out->ingest_end_ns - t0;
-  }
+  const uint64_t t1 = timed ? obs::NowNs() : 0;
   out->sketch = router.Close(&out->stats);
   if (timed) {
-    out->merge_start_ns = out->ingest_end_ns;
-    out->merge_end_ns = obs::NowNs();
-    out->router_ns = router.stage_nanos();
     out->decode_stats = router.decode_stats();
+    AppendIngestEvents(request.round_index, router.stage_nanos(), t0, t1,
+                       obs::NowNs(), out);
   }
   ++rounds_;
   stats_ += out->stats;
@@ -98,17 +119,6 @@ void AggregatorNode::RunRoundUpstream(const RoundRequest& request,
 
 // --- UserAssignment -------------------------------------------------------
 
-namespace {
-
-uint64_t SplitMix64(uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 UserAssignment::UserAssignment(std::size_t num_nodes, uint64_t num_users,
                                AssignMode mode, uint64_t salt)
     : num_nodes_(num_nodes), num_users_(num_users), mode_(mode), salt_(salt) {
@@ -122,7 +132,7 @@ UserAssignment::UserAssignment(std::size_t num_nodes, uint64_t num_users,
 
 std::size_t UserAssignment::NodeOf(uint32_t user) const {
   if (mode_ == AssignMode::kStableHash) {
-    return static_cast<std::size_t>(SplitMix64(user ^ salt_) % num_nodes_);
+    return static_cast<std::size_t>(Mix64(user ^ salt_) % num_nodes_);
   }
   // Range: u128-free balanced split — user/num_users scaled to num_nodes.
   // num_nodes * user cannot overflow: user < 2^32 and realistic fan-ins
@@ -199,14 +209,9 @@ void RootSession::MergeRound(const RoundRequest& request, bool timed,
   // flushed the round (dead children) — the root's "transport RTT".
   const std::vector<PayloadRef> partials =
       buffer_.TakeRound(request.round_index);
-  if (timed) {
-    out->ingest_start_ns = t0;
-    out->ingest_end_ns = obs::NowNs();
-    out->transport_ns = out->ingest_end_ns - t0;
-  }
+  const uint64_t t1 = timed ? obs::NowNs() : 0;
   const FoParams params{request.epsilon, request.domain};
   out->sketch = fo_.CreateSketch(params);
-  const uint64_t m0 = timed ? obs::NowNs() : 0;
   std::vector<uint64_t> seen;
   seen.reserve(num_children_);
   for (const PayloadRef& partial : partials) {
@@ -221,13 +226,8 @@ void RootSession::MergeRound(const RoundRequest& request, bool timed,
     out->sketch_merges.missing +=
         num_children_ - out->sketch_merges.merged;
   }
-  if (timed) {
-    out->sketch_merge_start_ns = m0;
-    out->sketch_merge_end_ns = obs::NowNs();
-    out->sketch_merge_ns = out->sketch_merge_end_ns - m0;
-  }
   // IngestStats parity so session-level accounting (stats(), the ingest
-  // feed, the recorder's accepted/rejected annotations) keeps meaning
+  // feed, the events' accepted/rejected annotations) keeps meaning
   // "reports this round speaks for" at every tier of the tree.
   out->stats.accepted = out->sketch_merges.users_merged;
   out->stats.malformed = out->sketch_merges.malformed;
@@ -235,6 +235,17 @@ void RootSession::MergeRound(const RoundRequest& request, bool timed,
   out->stats.wrong_timestamp = out->sketch_merges.wrong_round;
   out->stats.duplicate = out->sketch_merges.duplicate_node;
   out->stats.sketch_rejected = out->sketch_merges.params_mismatch;
+  if (timed) {
+    // A root runs no arena decode, shard fold or shard merge: its ingest
+    // half is the wait for the partials, then their merge.
+    const uint64_t round = request.round_index;
+    out->events.reserve(2);
+    out->events.push_back({obs::Stage::kTransportRtt, round, t0, t1,
+                           out->stats.accepted, out->stats.rejected()});
+    out->events.push_back({obs::Stage::kSketchMerge, round, t1,
+                           obs::NowNs(), out->sketch_merges.merged,
+                           out->sketch_merges.rejected()});
+  }
 }
 
 }  // namespace ldpids::service

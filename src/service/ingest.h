@@ -127,10 +127,9 @@ class IngestShard {
 // Wall-clock nanoseconds the router's batch path spent in each internal
 // stage, accumulated across one round's IngestBatch calls (and the merge
 // at Close). Only filled after EnableStageTiming(): an unobserved router
-// pays zero clock reads. The session layer turns these into the
-// `ldpids_stage_duration_ns{stage=arena_decode|shard_fold|merge}`
-// histograms (obs/stage_trace.h) — plain integers here keep this header
-// free of obs dependencies.
+// pays zero clock reads. AggregatorNode turns these into the round's
+// arena_decode and shard_fold stage events (obs/stage_trace.h) — plain
+// integers here keep this header free of obs dependencies.
 struct RouterStageNanos {
   uint64_t arena_decode = 0;  // packets -> columnar rows (incl. checksums)
   uint64_t shard_fold = 0;    // nonce partition + per-shard dedup/fold

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "core/collector.h"
-#include "obs/flight_recorder.h"
-#include "service/aggregator.h"
+#include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "obs/stats_feed.h"
+#include "service/aggregator.h"
 #include "util/histogram.h"
 
 namespace ldpids::service {
@@ -97,94 +97,32 @@ class MechanismSession::WireCollector final : public CollectorContext {
     }
     if (job->error) std::rethrow_exception(job->error);
     RoundOutcome& outcome = job->outcome;
+    const uint64_t round = job->request.round_index;
     session_.stats_ += outcome.stats;  // claim order == round order
-    if (session_.merge_source_) {
-      session_.sketch_merges_ += outcome.sketch_merges;
+    session_.sketch_merges_ += outcome.sketch_merges;
+    if (session_.ingest_feed_) session_.ingest_feed_->Add(outcome.stats);
+    if (session_.arena_feed_) session_.arena_feed_->Add(outcome.decode_stats);
+    if (session_.sketch_merge_feed_) {
+      session_.sketch_merge_feed_->Add(outcome.sketch_merges);
     }
-    obs::StageSet* stages = session_.stages_.get();
-    if (stages != nullptr) {
-      // One observation per stage per consumed round, recorded here on
-      // the session thread. Transport RTT is the transport-call wall time
-      // minus the router's own busy time inside it — the portion spent
-      // waiting on clients and the network, valid for inproc and buffered
-      // socket transports alike.
-      const uint64_t busy =
-          outcome.router_ns.arena_decode + outcome.router_ns.shard_fold;
-      stages->Record(obs::Stage::kTransportRtt,
-                     outcome.transport_ns > busy
-                         ? outcome.transport_ns - busy
-                         : 0);
-      stages->Record(obs::Stage::kArenaDecode, outcome.router_ns.arena_decode);
-      stages->Record(obs::Stage::kShardFold, outcome.router_ns.shard_fold);
-      stages->Record(obs::Stage::kMerge, outcome.router_ns.merge);
-      if (session_.merge_source_) {
-        stages->Record(obs::Stage::kSketchMerge, outcome.sketch_merge_ns);
-      }
-      if (session_.ingest_feed_) session_.ingest_feed_->Add(outcome.stats);
-      if (session_.arena_feed_) {
-        session_.arena_feed_->Add(outcome.decode_stats);
-      }
-      if (session_.sketch_merge_feed_) {
-        session_.sketch_merge_feed_->Add(outcome.sketch_merges);
-      }
-    }
-    obs::FlightRecorder* recorder = session_.recorder_;
-    if (recorder != nullptr) {
-      const uint64_t round = job->request.round_index;
-      const uint32_t track = session_.track_;
-      recorder->Record(track, obs::Stage::kAnnounce, round,
-                       job->announce_start_ns, job->announce_end_ns);
-      // The full transport-call wall window (waiting on clients + the
-      // router's own folding inside it); clears the in-flight mark.
-      recorder->Record(track, obs::Stage::kTransportRtt, round,
-                       outcome.ingest_start_ns, outcome.ingest_end_ns,
-                       outcome.stats.accepted, outcome.stats.rejected());
-      // Arena decode and shard folding run interleaved inside the
-      // transport window (per IngestBatch call), so they have no single
-      // wall window of their own; anchor them as tail slices of the
-      // ingest window so the trace shows their share without inventing
-      // an ordering. Saturate: summed-across-shards fold time can exceed
-      // the wall window on multi-thread routers.
-      const uint64_t end = outcome.ingest_end_ns;
-      const uint64_t fold = outcome.router_ns.shard_fold;
-      const uint64_t arena = outcome.router_ns.arena_decode;
-      const uint64_t fold_start = end > fold ? end - fold : 0;
-      const uint64_t arena_start =
-          fold_start > arena ? fold_start - arena : 0;
-      recorder->Record(track, obs::Stage::kArenaDecode, round, arena_start,
-                       fold_start, outcome.stats.accepted,
-                       outcome.stats.rejected());
-      recorder->Record(track, obs::Stage::kShardFold, round, fold_start, end,
-                       outcome.stats.accepted, outcome.stats.rejected());
-      recorder->Record(track, obs::Stage::kMerge, round,
-                       outcome.merge_start_ns, outcome.merge_end_ns,
-                       outcome.stats.accepted);
-      if (session_.merge_source_) {
-        recorder->Record(track, obs::Stage::kSketchMerge, round,
-                         outcome.sketch_merge_start_ns,
-                         outcome.sketch_merge_end_ns,
-                         outcome.sketch_merges.merged,
-                         outcome.sketch_merges.rejected());
-      }
-      last_round_index_ = round;
-    }
+    // The source's stage events, emitted once the round is claimed; the
+    // round's in-flight mark (see RunJob) ends here too.
+    obs::StageSink& sink = session_.sink_;
+    for (const obs::StageEvent& event : outcome.events) sink.Emit(event);
+    sink.End(obs::Stage::kTransportRtt);
+    last_round_index_ = round;
     if (outcome.sketch->num_users() == 0) {
       throw std::runtime_error("collection round accepted zero reports");
     }
     if (n_out != nullptr) *n_out = outcome.sketch->num_users();
-    if (stages != nullptr || recorder != nullptr) {
-      const uint64_t t0 = obs::NowNs();
+    if (!sink.enabled()) {
       outcome.sketch->EstimateInto(out);
-      const uint64_t t1 = obs::NowNs();
-      if (stages != nullptr) stages->Record(obs::Stage::kEstimate, t1 - t0);
-      if (recorder != nullptr) {
-        recorder->Record(session_.track_, obs::Stage::kEstimate,
-                         job->request.round_index, t0, t1);
-      }
-      step_estimate_end_ns_ = t1;
-    } else {
-      outcome.sketch->EstimateInto(out);
+      return;
     }
+    const uint64_t t0 = obs::NowNs();
+    outcome.sketch->EstimateInto(out);
+    step_estimate_end_ns_ = obs::NowNs();
+    sink.Emit({obs::Stage::kEstimate, round, t0, step_estimate_end_ns_});
   }
 
   // End of the latest EstimateInto in the current step, 0 when no round
@@ -196,8 +134,8 @@ class MechanismSession::WireCollector final : public CollectorContext {
     return t;
   }
 
-  // Round index of the newest consumed round (only meaningful when a
-  // recorder is attached; Advance tags the post-process event with it).
+  // Round index of the newest consumed round (Advance tags the
+  // post-process event with it).
   uint64_t last_round_index() const { return last_round_index_; }
 
   void PlanNextCollect(std::size_t t, double epsilon) override {
@@ -229,18 +167,14 @@ class MechanismSession::WireCollector final : public CollectorContext {
   // always whole-population.
   struct RoundJob {
     RoundRequest request;
-    // Sketch + accounting + timing, filled by RunJob (possibly on the
-    // ingest worker) through the session's RoundSource and read by the
+    // Sketch + accounting + stage events, filled by RunJob (possibly on
+    // the ingest worker) through the session's RoundSource and read by the
     // session thread strictly after the `done` handshake — the mutex
-    // hand-off orders these plain fields, so all histogram recording
-    // stays on the session thread.
+    // hand-off orders these plain fields, so every event is emitted on
+    // the session thread.
     RoundOutcome outcome;
     std::exception_ptr error;
     bool done = false;
-    // Announce wall window, stamped on the session thread in EnqueueRound
-    // (0 when no recorder is attached).
-    uint64_t announce_start_ns = 0;
-    uint64_t announce_end_ns = 0;
   };
   using JobPtr = std::shared_ptr<RoundJob>;
 
@@ -260,15 +194,14 @@ class MechanismSession::WireCollector final : public CollectorContext {
     job->request.cohort = cohort;
     job->request.round_index = session_.rounds_++;
     if (session_.rounds_counter_ != nullptr) session_.rounds_counter_->Add(1);
-    if (session_.stages_ != nullptr || session_.recorder_ != nullptr) {
+    // Every announced round gets its announce event now, including a
+    // prefetched round the mechanism may never claim.
+    obs::StageSink& sink = session_.sink_;
+    if (sink.enabled()) {
       const uint64_t t0 = obs::NowNs();
       if (session_.announce_) session_.announce_(job->request);
-      const uint64_t t1 = obs::NowNs();
-      if (session_.stages_ != nullptr) {
-        session_.stages_->Record(obs::Stage::kAnnounce, t1 - t0);
-      }
-      job->announce_start_ns = t0;
-      job->announce_end_ns = t1;
+      sink.Emit({obs::Stage::kAnnounce, job->request.round_index, t0,
+                 obs::NowNs()});
     } else if (session_.announce_) {
       session_.announce_(job->request);
     }
@@ -289,22 +222,16 @@ class MechanismSession::WireCollector final : public CollectorContext {
   // (local sharded ingestion via an AggregatorNode, or a root's
   // partial-sketch merge).
   void RunJob(RoundJob& job) {
-    obs::FlightRecorder* recorder = session_.recorder_;
-    if (recorder != nullptr) {
-      // In-flight mark: the health model sees this round's ingest as begun
-      // until the matching Record on the session thread (or the EndStage
-      // below on the error path) clears it.
-      recorder->BeginStage(session_.track_, obs::Stage::kTransportRtt,
-                           job.request.round_index, obs::NowNs());
-    }
+    obs::StageSink& sink = session_.sink_;
+    // In-flight mark: the health model sees this round's ingest as begun
+    // until the session thread claims the round (or the End below on the
+    // error path).
+    sink.Begin(obs::Stage::kTransportRtt, job.request.round_index);
     try {
-      const bool timed = session_.stages_ != nullptr || recorder != nullptr;
-      session_.source_(job.request, timed, &job.outcome);
+      session_.source_(job.request, sink.enabled(), &job.outcome);
     } catch (...) {
       job.error = std::current_exception();
-      if (recorder != nullptr) {
-        recorder->EndStage(session_.track_, obs::Stage::kTransportRtt);
-      }
+      sink.End(obs::Stage::kTransportRtt);
     }
   }
 
@@ -336,7 +263,7 @@ class MechanismSession::WireCollector final : public CollectorContext {
   // Session-thread state: the mechanism's recorded-but-unannounced plan
   // and the announced-but-unclaimed rounds, in round order.
   uint64_t step_estimate_end_ns_ = 0;  // see TakeStepEstimateEnd
-  uint64_t last_round_index_ = 0;      // newest consumed round (recorder)
+  uint64_t last_round_index_ = 0;      // newest consumed round
   bool has_plan_ = false;
   std::size_t plan_t_ = 0;
   double plan_epsilon_ = 0.0;
@@ -389,36 +316,45 @@ MechanismSession::MechanismSession(
   source_ = std::move(source);
 }
 
-MechanismSession::MechanismSession(
-    std::unique_ptr<StreamMechanism> mechanism, std::size_t domain,
-    SessionOptions options, RoundAnnounce announce, bool merge_source)
-    : mechanism_(std::move(mechanism)),
-      announce_(std::move(announce)),
-      merge_source_(merge_source),
-      options_(options) {
-  if (mechanism_ == nullptr) {
+namespace {
+
+// Rejects a malformed session before any member registers metrics or a
+// recorder track, so a refused session leaves nothing behind.
+SessionOptions ValidatedOptions(const StreamMechanism* mechanism,
+                                std::size_t domain, SessionOptions options) {
+  if (mechanism == nullptr) {
     throw std::invalid_argument("session needs a mechanism");
   }
   if (domain < 2) {
     throw std::invalid_argument("session domain must have >= 2 values");
   }
-  if (options_.num_threads == 0) {
+  if (options.num_threads == 0) {
     throw std::invalid_argument("session threads must be >= 1");
   }
-  if (options_.pipeline_depth == 0) {
+  if (options.pipeline_depth == 0) {
     throw std::invalid_argument("session pipeline depth must be >= 1");
   }
+  return options;
+}
+
+}  // namespace
+
+MechanismSession::MechanismSession(
+    std::unique_ptr<StreamMechanism> mechanism, std::size_t domain,
+    SessionOptions options, RoundAnnounce announce, bool merge_source)
+    : mechanism_(std::move(mechanism)),
+      options_(ValidatedOptions(mechanism_.get(), domain, std::move(options))),
+      sink_(options_.metrics, options_.metrics_label, options_.recorder),
+      announce_(std::move(announce)) {
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;
     obs::Labels labels;
     if (!options_.metrics_label.empty()) {
       labels.emplace_back("session", options_.metrics_label);
     }
-    stages_ =
-        std::make_unique<obs::StageSet>(&reg, options_.metrics_label);
     ingest_feed_ = std::make_unique<obs::IngestStatsFeed>(&reg, labels);
     arena_feed_ = std::make_unique<obs::ArenaDecodeStatsFeed>(&reg, labels);
-    if (merge_source_) {
+    if (merge_source) {
       sketch_merge_feed_ =
           std::make_unique<obs::SketchMergeStatsFeed>(&reg, labels);
     }
@@ -434,11 +370,6 @@ MechanismSession::MechanismSession(
     info.emplace_back("shards", std::to_string(options_.num_shards));
     reg.GetGauge("ldpids_session_info", info).Set(1);
   }
-  if (options_.recorder != nullptr) {
-    recorder_ = options_.recorder;
-    track_ = recorder_->RegisterTrack(
-        options_.metrics_label.empty() ? "session" : options_.metrics_label);
-  }
   collector_ = std::make_unique<WireCollector>(
       *this, OracleIdFromName(mechanism_->config().fo), domain,
       mechanism_->num_users());
@@ -447,11 +378,11 @@ MechanismSession::MechanismSession(
 MechanismSession::~MechanismSession() {
   // Join the ingest worker before anything else dies: a prefetched round
   // may still be running against source_/aggregator_ (and the mechanism's
-  // oracle), which are destroyed after collector_ in member order.
+  // oracle), which are destroyed after collector_ in member order. Then
+  // nothing touches the track again, and sink_'s destructor closes it, so
+  // the health model reads this session's silence as "finished", not
+  // stalled.
   collector_.reset();
-  // Worker joined: nothing will touch the track again. Close it so the
-  // health model reads this session's silence as "finished", not stalled.
-  if (recorder_ != nullptr) recorder_->CloseTrack(track_);
 }
 
 std::size_t MechanismSession::domain() const { return collector_->domain(); }
@@ -464,21 +395,13 @@ StepResult MechanismSession::Advance() {
   }
   try {
     StepResult result = mechanism_->Step(*collector_, next_t_);
-    if (stages_ != nullptr || recorder_ != nullptr) {
-      // Post-process: mechanism work after its last estimate of the step
-      // (smoothing, budget bookkeeping, release assembly).
-      const uint64_t estimate_end = collector_->TakeStepEstimateEnd();
-      if (estimate_end != 0) {
-        const uint64_t now = obs::NowNs();
-        if (stages_ != nullptr) {
-          stages_->Record(obs::Stage::kPostProcess, now - estimate_end);
-        }
-        if (recorder_ != nullptr) {
-          recorder_->Record(track_, obs::Stage::kPostProcess,
-                            collector_->last_round_index(), estimate_end,
-                            now);
-        }
-      }
+    // Post-process: mechanism work after its last estimate of the step
+    // (smoothing, budget bookkeeping, release assembly). The estimate end
+    // is 0 when the sink is inert.
+    const uint64_t estimate_end = collector_->TakeStepEstimateEnd();
+    if (estimate_end != 0) {
+      sink_.Emit({obs::Stage::kPostProcess, collector_->last_round_index(),
+                  estimate_end, obs::NowNs()});
     }
     if (advances_counter_ != nullptr) advances_counter_->Add(1);
     // A step that ends without a publication records its plan after its
@@ -492,7 +415,7 @@ StepResult MechanismSession::Advance() {
     // A failed session will never progress again by contract; close its
     // track immediately so the watchdog reports the failure as "session
     // gone", not as a permanently-stalled round.
-    if (recorder_ != nullptr) recorder_->CloseTrack(track_);
+    sink_.Close();
     throw;
   }
 }

@@ -36,12 +36,12 @@
 #include "fo/frequency_oracle.h"
 #include "fo/sketch_wire.h"
 #include "fo/wire.h"
+#include "obs/stage_trace.h"
 #include "service/ingest.h"
 
 namespace ldpids::obs {
 class MetricsRegistry;
 class Counter;
-class StageSet;
 class IngestStatsFeed;
 class ArenaDecodeStatsFeed;
 class SketchMergeStatsFeed;
@@ -97,10 +97,11 @@ struct SplitRoundTransport {
 };
 
 // Everything the ingest/estimate seam hands across for one round: the
-// round's resolved sketch plus acceptance accounting and stage timing.
-// Produced by a RoundSource — an AggregatorNode's local sharded ingestion,
-// or a RootSession's partial-sketch merge — and consumed strictly on the
-// session thread (stats accumulation, stage recording, EstimateInto).
+// round's resolved sketch plus acceptance accounting and the stage events
+// of the ingest half. Produced by a RoundSource — an AggregatorNode's
+// local sharded ingestion, or a RootSession's partial-sketch merge — and
+// consumed strictly on the session thread (stats accumulation, event
+// emission, EstimateInto).
 struct RoundOutcome {
   std::unique_ptr<FoSketch> sketch;
   IngestStats stats;
@@ -109,26 +110,18 @@ struct RoundOutcome {
   // (merged/malformed/params_mismatch/duplicate_node/missing, see
   // fo/sketch_wire.h). Zero-valued for local-ingest sources.
   SketchMergeStats sketch_merges;
-  RouterStageNanos router_ns;      // arena decode / shard fold / merge
-  uint64_t transport_ns = 0;       // wall time waiting on the transport
-  uint64_t sketch_merge_ns = 0;    // root partial-merge wall time
-  // Absolute steady-clock windows for the flight recorder (0 when the
-  // round was not timed).
-  uint64_t ingest_start_ns = 0;    // transport call wall window
-  uint64_t ingest_end_ns = 0;
-  uint64_t merge_start_ns = 0;     // router Close (shard merge) window
-  uint64_t merge_end_ns = 0;
-  uint64_t sketch_merge_start_ns = 0;  // root partial-merge window
-  uint64_t sketch_merge_end_ns = 0;
+  // One event per stage the source ran, in pipeline order (empty when the
+  // round was not timed). The session emits them when it claims the round.
+  std::vector<obs::StageEvent> events;
 };
 
 // The generalized ingest half of one round: fills `*out` with the round's
 // sketch and accounting (never leaving *out partially filled on throw —
-// the session discards it wholesale). `timed` requests stage timing; the
-// source may skip all *_ns fields when it is false. Runs inside Advance()
-// — or, when the session is pipelined, on the session's ingest worker
-// thread, so a source must not share unsynchronized mutable state with
-// the announce half of other rounds.
+// the session discards it wholesale). `timed` asks for stage events; the
+// source may skip `events` and `decode_stats` when it is false. Runs
+// inside Advance() — or, when the session is pipelined, on the session's
+// ingest worker thread, so a source must not share unsynchronized mutable
+// state with the announce half of other rounds.
 using RoundSource =
     std::function<void(const RoundRequest&, bool timed, RoundOutcome*)>;
 
@@ -160,10 +153,11 @@ struct SessionOptions {
   std::string metrics_label;
   // Flight recorder (optional, independent of `metrics`). When non-null
   // the session registers one track named `metrics_label` (or "session")
-  // and records a structured event per pipeline stage per round —
-  // absolute wall windows, so a pipelined session's round overlap is
-  // visible in the Chrome-trace export. Same write-only contract as
-  // `metrics`: releases stay bit-identical with the recorder attached.
+  // and records each stage event the histograms observe (one StageSink
+  // feeds both) — absolute wall windows, so a pipelined session's round
+  // overlap is visible in the Chrome-trace export. Same write-only
+  // contract as `metrics`: releases stay bit-identical with the recorder
+  // attached.
   obs::FlightRecorder* recorder = nullptr;
 };
 
@@ -191,8 +185,8 @@ class MechanismSession {
   // instead of local sharded ingestion — this is how a RootSession swaps
   // the ingest half for a partial-sketch merge while the estimate /
   // post-process / mechanism side runs untouched. The session assumes the
-  // source merges partial sketches and records the kSketchMerge stage and
-  // sketch_merge_stats() from the outcomes it returns.
+  // source merges partial sketches and also publishes
+  // sketch_merge_stats() as metrics.
   MechanismSession(std::unique_ptr<StreamMechanism> mechanism,
                    std::size_t domain, SessionOptions options,
                    RoundAnnounce announce, RoundSource source);
@@ -254,43 +248,41 @@ class MechanismSession {
   // The public ctors delegate here and then install source_ (and, for
   // transport-built sessions, aggregator_) — no round can be in flight
   // before the first Advance(), so the late install is unobservable.
+  // `merge_source` registers the partial-sketch merge metrics.
   MechanismSession(std::unique_ptr<StreamMechanism> mechanism,
                    std::size_t domain, SessionOptions options,
                    RoundAnnounce announce, bool merge_source);
 
   std::unique_ptr<StreamMechanism> mechanism_;
+  SessionOptions options_;
+  // Every stage event of this session goes here: the stage histograms
+  // (SessionOptions::metrics) and the recorder track
+  // (SessionOptions::recorder); inert when both are null. Events are
+  // emitted on the session thread only (the ingest worker hands its
+  // events back through the RoundJob done-handshake); the worker touches
+  // only the thread-safe in-flight marks. Declared before collector_, so
+  // the worker never outlives it.
+  obs::StageSink sink_;
   std::unique_ptr<WireCollector> collector_;
   // Transport-built sessions own the node that runs their local sharded
   // ingestion; source-built sessions have none.
   std::unique_ptr<AggregatorNode> aggregator_;
   RoundAnnounce announce_;  // may be null (opaque-transport sessions)
   RoundSource source_;
-  // True when source_ merges partial sketches (the RoundSource ctor):
-  // enables kSketchMerge stage recording and sketch_merges_ accounting.
-  bool merge_source_ = false;
-  SessionOptions options_;
   std::size_t next_t_ = 0;
   uint64_t rounds_ = 0;
   bool failed_ = false;
   IngestStats stats_;
   SketchMergeStats sketch_merges_;
 
-  // Observability (all null when SessionOptions::metrics is). Stage
-  // recording and feed publication happen on the session thread only (the
-  // ingest worker hands timing back through the RoundJob done-handshake),
-  // so per-session instrumentation needs no locking of its own.
-  std::unique_ptr<obs::StageSet> stages_;
+  // Metric feeds (all null when SessionOptions::metrics is; the sketch
+  // merge feed exists only for source-built sessions). Published on the
+  // session thread at claim time, so they need no locking of their own.
   std::unique_ptr<obs::IngestStatsFeed> ingest_feed_;
   std::unique_ptr<obs::ArenaDecodeStatsFeed> arena_feed_;
   std::unique_ptr<obs::SketchMergeStatsFeed> sketch_merge_feed_;
   obs::Counter* rounds_counter_ = nullptr;
   obs::Counter* advances_counter_ = nullptr;
-  // Flight-recorder attachment (null when SessionOptions::recorder is).
-  // Event recording happens on the session thread after the done
-  // handshake; only the in-flight begin/end marks are touched from the
-  // ingest worker (the recorder is lock-free and thread-safe).
-  obs::FlightRecorder* recorder_ = nullptr;
-  uint32_t track_ = 0;
 };
 
 }  // namespace ldpids::service

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 
 #include "core/factory.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "service/client_fleet.h"
 #include "service/session.h"
@@ -105,6 +107,36 @@ TEST(FlightRecorderTest, CloseTrackClearsMarksAndFlagsClosed) {
   // Idempotent, and out-of-range tracks are ignored.
   recorder.CloseTrack(track);
   recorder.CloseTrack(10'000);
+}
+
+// Past kMaxTracks, registration is a typed outcome: the sentinel id, whose
+// events are counted, never stored — and never land on a live track.
+TEST(FlightRecorderTest, TrackOverflowIsTypedAndCounted) {
+  FlightRecorder recorder(64);
+  std::vector<uint32_t> ids;
+  for (std::size_t i = 0; i <= FlightRecorder::kMaxTracks; ++i) {
+    ids.push_back(recorder.RegisterTrack("s" + std::to_string(i)));
+  }
+  const uint32_t last = ids[FlightRecorder::kMaxTracks - 1];
+  const uint32_t overflow = ids[FlightRecorder::kMaxTracks];
+  EXPECT_EQ(last, FlightRecorder::kMaxTracks - 1);
+  EXPECT_EQ(overflow, FlightRecorder::kNoTrack);
+
+  recorder.Record(last, Stage::kEstimate, 1, 100, 200);
+  recorder.Record(overflow, Stage::kEstimate, 7, 300, 400);
+  recorder.Record(overflow, Stage::kMerge, 7, 250, 300);
+  recorder.BeginStage(overflow, Stage::kTransportRtt, 7, 250);
+  recorder.CloseTrack(overflow);
+
+  const FlightRecorderSnapshot snap = recorder.Snapshot();
+  EXPECT_EQ(snap.tracks.size(), FlightRecorder::kMaxTracks);
+  ASSERT_EQ(snap.events.size(), 1u);
+  EXPECT_EQ(snap.events[0].track, last);
+  EXPECT_EQ(snap.events[0].round_index, 1u);
+  EXPECT_EQ(snap.untracked_events, 2u);
+  EXPECT_EQ(snap.total_recorded, 1u);
+  EXPECT_TRUE(snap.in_flight.empty());
+  EXPECT_FALSE(snap.closed[last]);
 }
 
 // Hammer the ring from several writer threads while a reader snapshots
@@ -201,28 +233,41 @@ MechanismConfig RecorderConfig() {
   return c;
 }
 
-std::vector<StepResult> RunWithRecorder(FlightRecorder* recorder,
-                                        std::size_t depth) {
+struct RecordedRun {
+  std::vector<StepResult> steps;
+  uint64_t rounds = 0;  // rounds the session announced
+};
+
+RecordedRun RunWithRecorder(FlightRecorder* recorder, std::size_t depth,
+                            obs::MetricsRegistry* metrics = nullptr,
+                            std::size_t threads = 1) {
   const service::ClientFleet fleet(kUsers, TruthValue, 4242);
   service::SessionOptions options;
   options.num_shards = 2;
+  options.num_threads = threads;
   options.pipeline_depth = depth;
   options.recorder = recorder;
+  options.metrics = metrics;
   if (recorder != nullptr) options.metrics_label = "rec";
   service::MechanismSession session(
       CreateMechanism("LBA", RecorderConfig(), kUsers), kDomain, options,
-      fleet.Transport(1));
-  std::vector<StepResult> steps;
-  for (std::size_t t = 0; t < kSteps; ++t) steps.push_back(session.Advance());
-  return steps;
+      fleet.Transport(threads));
+  RecordedRun run;
+  for (std::size_t t = 0; t < kSteps; ++t) {
+    run.steps.push_back(session.Advance());
+  }
+  run.rounds = session.rounds();
+  return run;
 }
+
+std::size_t StageIndex(Stage stage) { return static_cast<std::size_t>(stage); }
 
 TEST(FlightRecorderSessionTest, RecorderDoesNotChangeReleases) {
   for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
     FlightRecorder recorder;
-    const std::vector<StepResult> bare = RunWithRecorder(nullptr, depth);
+    const std::vector<StepResult> bare = RunWithRecorder(nullptr, depth).steps;
     const std::vector<StepResult> recorded =
-        RunWithRecorder(&recorder, depth);
+        RunWithRecorder(&recorder, depth).steps;
     ASSERT_EQ(bare.size(), recorded.size());
     for (std::size_t t = 0; t < bare.size(); ++t) {
       EXPECT_EQ(bare[t].published, recorded[t].published) << t;
@@ -232,8 +277,9 @@ TEST(FlightRecorderSessionTest, RecorderDoesNotChangeReleases) {
 }
 
 TEST(FlightRecorderSessionTest, SessionEmitsEventsPerStageAndClosesTrack) {
+  constexpr std::size_t kDepth = 2;
   FlightRecorder recorder;
-  RunWithRecorder(&recorder, 2);
+  const uint64_t announced = RunWithRecorder(&recorder, kDepth).rounds;
   const FlightRecorderSnapshot snap = recorder.Snapshot();
   ASSERT_EQ(snap.tracks.size(), 1u);
   EXPECT_EQ(snap.tracks[0], "rec");
@@ -241,27 +287,29 @@ TEST(FlightRecorderSessionTest, SessionEmitsEventsPerStageAndClosesTrack) {
   EXPECT_TRUE(snap.in_flight.empty());
   ASSERT_FALSE(snap.events.empty());
 
-  // Every consumed round carries the full announce..estimate event chain,
-  // and at least one post-process event exists per step.
+  // The count contract pipeline_test pins for the histograms: one announce
+  // per announced round (a prefetched round included), and one event per
+  // ingest-chain stage per claimed round — at depth 2 at most one
+  // announced round is still unclaimed when the session ends.
   std::size_t per_stage[obs::kNumStages] = {};
   uint64_t max_round = 0;
   for (const RoundEvent& ev : snap.events) {
-    ++per_stage[static_cast<std::size_t>(ev.stage)];
+    ++per_stage[StageIndex(ev.stage)];
     EXPECT_LE(ev.t_start_ns, ev.t_end_ns);
     max_round = std::max(max_round, ev.round_index);
   }
-  const std::size_t rounds = per_stage[static_cast<std::size_t>(
-      Stage::kAnnounce)];
-  EXPECT_GE(rounds, kSteps);
-  EXPECT_EQ(max_round + 1, rounds);
-  for (const Stage s :
-       {Stage::kTransportRtt, Stage::kArenaDecode, Stage::kShardFold,
-        Stage::kMerge, Stage::kEstimate}) {
-    EXPECT_EQ(per_stage[static_cast<std::size_t>(s)], rounds)
-        << obs::StageName(s);
+  EXPECT_EQ(per_stage[StageIndex(Stage::kAnnounce)], announced);
+  EXPECT_EQ(max_round + 1, announced);
+  const std::size_t claimed = per_stage[StageIndex(Stage::kEstimate)];
+  EXPECT_GE(claimed, kSteps);
+  EXPECT_LE(claimed, announced);
+  EXPECT_LT(announced - claimed, kDepth);
+  for (const Stage s : {Stage::kTransportRtt, Stage::kArenaDecode,
+                        Stage::kShardFold, Stage::kMerge}) {
+    EXPECT_EQ(per_stage[StageIndex(s)], claimed) << obs::StageName(s);
   }
-  EXPECT_GE(per_stage[static_cast<std::size_t>(Stage::kPostProcess)],
-            kSteps);
+  EXPECT_EQ(per_stage[StageIndex(Stage::kSketchMerge)], 0u);
+  EXPECT_GE(per_stage[StageIndex(Stage::kPostProcess)], kSteps);
 
   // The transport-RTT events carry the round's acceptance accounting.
   const RoundEvent* rtt = nullptr;
@@ -275,6 +323,60 @@ TEST(FlightRecorderSessionTest, SessionEmitsEventsPerStageAndClosesTrack) {
   const std::string trace = RenderChromeTrace(snap);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"transport_rtt\""), std::string::npos);
+}
+
+// One StageSink feeds both consumers, so they agree exactly: per stage,
+// the histogram's count and sum are the track's event count and summed
+// windows. And each claimed round's ingest slices tile the transport call
+// into the merge: rtt | arena_decode | shard_fold | merge, end to start.
+TEST(FlightRecorderSessionTest, HistogramsAndTrackRecordTheSameEvents) {
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    obs::MetricsRegistry registry;
+    FlightRecorder recorder;
+    RunWithRecorder(&recorder, depth, &registry, /*threads=*/2);
+    const FlightRecorderSnapshot snap = recorder.Snapshot();
+    ASSERT_EQ(snap.dropped, 0u);
+    const obs::MetricsSnapshot metrics = registry.Snapshot();
+
+    uint64_t count[obs::kNumStages] = {};
+    uint64_t sum[obs::kNumStages] = {};
+    std::map<uint64_t, std::map<Stage, RoundEvent>> rounds;
+    for (const RoundEvent& ev : snap.events) {
+      ++count[StageIndex(ev.stage)];
+      sum[StageIndex(ev.stage)] += ev.t_end_ns - ev.t_start_ns;
+      EXPECT_TRUE(rounds[ev.round_index].emplace(ev.stage, ev).second)
+          << "round " << ev.round_index << " has two "
+          << obs::StageName(ev.stage) << " events";
+    }
+    for (std::size_t i = 0; i < obs::kNumStages; ++i) {
+      const char* name = obs::StageName(static_cast<Stage>(i));
+      const obs::HistogramSample* h = metrics.FindHistogram(
+          obs::kStageDurationMetric, {{"session", "rec"}, {"stage", name}});
+      ASSERT_NE(h, nullptr) << name;
+      EXPECT_EQ(h->count, count[i]) << name << " depth=" << depth;
+      EXPECT_EQ(h->sum, sum[i]) << name << " depth=" << depth;
+    }
+
+    std::size_t claimed = 0;
+    for (const auto& [round, stages] : rounds) {
+      if (stages.count(Stage::kEstimate) == 0) continue;  // prefetched
+      ++claimed;
+      const RoundEvent& announce = stages.at(Stage::kAnnounce);
+      const RoundEvent& rtt = stages.at(Stage::kTransportRtt);
+      const RoundEvent& decode = stages.at(Stage::kArenaDecode);
+      const RoundEvent& fold = stages.at(Stage::kShardFold);
+      const RoundEvent& merge = stages.at(Stage::kMerge);
+      const RoundEvent& estimate = stages.at(Stage::kEstimate);
+      EXPECT_LE(announce.t_end_ns, rtt.t_start_ns) << round;
+      EXPECT_EQ(rtt.t_end_ns, decode.t_start_ns) << round;
+      EXPECT_EQ(decode.t_end_ns, fold.t_start_ns) << round;
+      EXPECT_EQ(fold.t_end_ns, merge.t_start_ns) << round;
+      EXPECT_LE(merge.t_end_ns, estimate.t_start_ns) << round;
+      EXPECT_GT(rtt.reports, 0u) << round;
+    }
+    EXPECT_EQ(claimed, count[StageIndex(Stage::kEstimate)]);
+    EXPECT_GE(claimed, kSteps);
+  }
 }
 
 }  // namespace

@@ -30,6 +30,9 @@
 #include "fo/frequency_oracle.h"
 #include "fo/sketch_wire.h"
 #include "fo/wire.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/stage_trace.h"
 #include "service/aggregator.h"
 #include "service/client_fleet.h"
 #include "service/ingest.h"
@@ -287,6 +290,17 @@ TEST(UserAssignmentTest, StableHashPartitionsThePopulation) {
   for (uint32_t u = 0; u < 500; ++u) {
     EXPECT_EQ(grown.NodeOf(u), assign.NodeOf(u));
   }
+  // Pinned: node = Mix64(user ^ salt) % K. Real clients compute their node
+  // the same way, so the hash must never change under them.
+  const std::vector<std::size_t> pinned = {0, 1, 2, 1, 0, 0, 0, 1,
+                                           0, 1, 0, 0, 0, 1, 0, 0};
+  for (uint32_t u = 0; u < pinned.size(); ++u) {
+    EXPECT_EQ(assign.NodeOf(u), pinned[u]) << "user " << u;
+  }
+  const UserAssignment four(4, 10, AssignMode::kStableHash);
+  EXPECT_EQ(four.NodeOf(1000), 0u);
+  EXPECT_EQ(four.NodeOf(65535), 2u);
+  EXPECT_EQ(four.NodeOf(4000000000u), 2u);
 }
 
 TEST(UserAssignmentTest, CohortPartitionPreservesOrder) {
@@ -648,6 +662,80 @@ TEST(MergeTreeTest, AllChildrenDeadBurnsTheSession) {
   EXPECT_THROW(root.Advance(), std::logic_error);
   EXPECT_EQ(root.merge_stats().missing, 3u * root.session().rounds());
   EXPECT_GE(buffer.stats().deadline_flushes, 1u);
+}
+
+// (ts, dur) of every slice in a rendered Chrome trace, in microseconds.
+std::vector<std::pair<uint64_t, uint64_t>> TraceSlices(
+    const std::string& trace) {
+  std::vector<std::pair<uint64_t, uint64_t>> slices;
+  for (std::size_t at = trace.find("\"ts\":"); at != std::string::npos;
+       at = trace.find("\"ts\":", at + 1)) {
+    const std::size_t dur = trace.find("\"dur\":", at);
+    slices.emplace_back(std::stoull(trace.substr(at + 5)),
+                        std::stoull(trace.substr(dur + 6)));
+  }
+  return slices;
+}
+
+// A root runs no arena decode, shard fold or shard merge: each claimed
+// round traces as transport_rtt (the wait for the partials) and
+// sketch_merge, and nothing else — no [0, 0] window that would drag the
+// Chrome trace's rebase to the clock's epoch, no zero observations in the
+// histograms of stages the root never runs.
+TEST(MergeTreeTest, RootTracesOnlyTheStagesItRuns) {
+  constexpr uint64_t kUsers = 300;
+  constexpr std::size_t kSteps = 4;
+  for (const std::size_t num_children : {1u, 2u}) {
+    RoundBuffer buffer;
+    InProcessTree tree("GRR", num_children, kUsers, buffer, /*hostile=*/false);
+    obs::MetricsRegistry registry;
+    obs::FlightRecorder recorder;
+    SessionOptions options;
+    options.metrics = &registry;
+    options.metrics_label = "root";
+    options.recorder = &recorder;
+    const uint64_t begin_ns = obs::NowNs();
+    {
+      RootSession root(CreateMechanism("LBA", SessionConfig("GRR"), kUsers),
+                       kDomain, options, num_children, kSessionId, buffer,
+                       tree.Announce());
+      for (std::size_t t = 0; t < kSteps; ++t) (void)root.Advance();
+    }
+    const uint64_t run_us = (obs::NowNs() - begin_ns) / 1000;
+
+    const obs::FlightRecorderSnapshot snap = recorder.Snapshot();
+    ASSERT_FALSE(snap.events.empty());
+    uint64_t claimed = 0;
+    for (const obs::RoundEvent& ev : snap.events) {
+      EXPECT_NE(ev.t_start_ns, 0u) << obs::StageName(ev.stage);
+      if (ev.stage == obs::Stage::kEstimate) ++claimed;
+    }
+    EXPECT_GE(claimed, kSteps);
+
+    // Rebased on the earliest event: the trace starts at 0 and spans no
+    // more than the run.
+    const auto slices = TraceSlices(obs::RenderChromeTrace(snap));
+    ASSERT_EQ(slices.size(), snap.events.size());
+    uint64_t first_ts = slices[0].first;
+    for (const auto& [ts, dur] : slices) {
+      first_ts = std::min(first_ts, ts);
+      EXPECT_LE(ts + dur, run_us);
+    }
+    EXPECT_EQ(first_ts, 0u);
+
+    const obs::MetricsSnapshot metrics = registry.Snapshot();
+    auto count = [&](obs::Stage stage) -> uint64_t {
+      const obs::HistogramSample* h = metrics.FindHistogram(
+          obs::kStageDurationMetric,
+          {{"session", "root"}, {"stage", obs::StageName(stage)}});
+      return h == nullptr ? ~0ull : h->count;
+    };
+    EXPECT_EQ(count(obs::Stage::kArenaDecode), 0u) << num_children;
+    EXPECT_EQ(count(obs::Stage::kShardFold), 0u) << num_children;
+    EXPECT_EQ(count(obs::Stage::kMerge), 0u) << num_children;
+    EXPECT_EQ(count(obs::Stage::kSketchMerge), claimed) << num_children;
+    EXPECT_EQ(count(obs::Stage::kTransportRtt), claimed) << num_children;
+  }
 }
 
 }  // namespace

@@ -242,26 +242,33 @@ TEST(ExportTest, SnapshotsCarryOrderableTimestampAndSequence) {
   EXPECT_NE(json.find(",\"seq\":1,"), std::string::npos);
 }
 
-TEST(StageTraceTest, NullStageSetIsInertAndTimerRecords) {
-  StageSet inert;
+TEST(StageTraceTest, InertSinkIgnoresEventsAndSinkObservesWindows) {
+  StageSink inert;
   EXPECT_FALSE(inert.enabled());
-  inert.Record(Stage::kMerge, 123);  // must not crash
+  inert.Emit({Stage::kMerge, 0, 100, 223});  // must not crash
+  inert.Begin(Stage::kTransportRtt, 0);
+  inert.End(Stage::kTransportRtt);
 
   MetricsRegistry registry;
-  StageSet stages(&registry, "s0");
+  StageSink stages(&registry, "s0", /*recorder=*/nullptr);
   EXPECT_TRUE(stages.enabled());
-  { StageTimer timer(&stages, Stage::kEstimate); }
-  stages.Record(Stage::kMerge, 77);
+  stages.Emit({Stage::kMerge, 4, 1000, 1077});
+  stages.Emit({Stage::kEstimate, 4, 1077, 1090});
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.histograms.size(), kNumStages);
   const HistogramSample* estimate = snap.FindHistogram(
       kStageDurationMetric, {{"stage", "estimate"}, {"session", "s0"}});
   ASSERT_NE(estimate, nullptr);
   EXPECT_EQ(estimate->count, 1u);
+  EXPECT_EQ(estimate->sum, 13u);
   const HistogramSample* merge = snap.FindHistogram(
       kStageDurationMetric, {{"stage", "merge"}, {"session", "s0"}});
   ASSERT_NE(merge, nullptr);
   EXPECT_EQ(merge->sum, 77u);
+  const HistogramSample* announce = snap.FindHistogram(
+      kStageDurationMetric, {{"stage", "announce"}, {"session", "s0"}});
+  ASSERT_NE(announce, nullptr);
+  EXPECT_EQ(announce->count, 0u);
 }
 
 TEST(StageTraceTest, StageNamesAreCanonical) {
@@ -275,7 +282,7 @@ TEST(StageTraceTest, StageNamesAreCanonical) {
   EXPECT_STREQ(StageName(Stage::kPostProcess), "post_process");
 }
 
-TEST(StatsFeedTest, FrameFeedAddAndIdempotentPublish) {
+TEST(StatsFeedTest, FrameFeedAddsDeltas) {
   MetricsRegistry registry;
   FrameStatsFeed feed(&registry, {{"session", "t"}});
   transport::FrameStats s;
@@ -285,12 +292,12 @@ TEST(StatsFeedTest, FrameFeedAddAndIdempotentPublish) {
   s.bytes = 480;
   s.checksum_mismatch = 2;
   s.skipped_bytes = 7;
-  feed.Publish(s);
-  feed.Publish(s);  // same cumulative snapshot: no double count
-  s.frames = 12;
-  s.data_frames = 11;
-  s.bytes = 600;
-  feed.Publish(s);
+  feed.Add(s);
+  transport::FrameStats delta;
+  delta.frames = 2;
+  delta.data_frames = 2;
+  delta.bytes = 120;
+  feed.Add(delta);
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(
       snap.FindCounter("ldpids_frame_frames_total", {{"session", "t"}})->value,
@@ -333,14 +340,18 @@ TEST(StatsFeedTest, IngestFeedResultLabels) {
             0u);
 }
 
-TEST(StatsFeedTest, RoundBufferFeedPendingGaugeAndDropReasons) {
+TEST(StatsFeedTest, RoundBufferFeedIdempotentPublishGaugeAndDropReasons) {
   MetricsRegistry registry;
   RoundBufferStatsFeed feed(&registry, {{"session", "rb"}});
   transport::RoundBufferStats s;
-  s.buffered = 50;
+  s.buffered = 40;
   s.end_markers = 2;
   s.closed_round_drops = 3;
   s.rounds_drained = 2;
+  s.packets_drained = 37;
+  feed.Publish(s);
+  feed.Publish(s);  // same cumulative snapshot: no double count
+  s.buffered = 50;
   s.packets_drained = 47;
   feed.Publish(s);
   feed.SetPending(5);
@@ -349,6 +360,10 @@ TEST(StatsFeedTest, RoundBufferFeedPendingGaugeAndDropReasons) {
                              {{"session", "rb"}})
                 ->value,
             50u);
+  EXPECT_EQ(snap.FindCounter("ldpids_roundbuf_packets_drained_total",
+                             {{"session", "rb"}})
+                ->value,
+            47u);
   EXPECT_EQ(snap.FindCounter("ldpids_roundbuf_drops_total",
                              {{"session", "rb"}, {"reason", "closed_round"}})
                 ->value,
