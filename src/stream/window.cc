@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
 #include <stdexcept>
 
 namespace ldpids {
@@ -15,6 +16,11 @@ void SlidingWindowSum::Push(double value) {
   buffer_[next_] = value;
   sum_ += value;
   next_ = (next_ + 1) % buffer_.size();
+  if (next_ == 0) {
+    // Re-sum the ring once per w pushes: the running update's rounding
+    // error then stays bounded instead of growing with the stream.
+    sum_ = std::accumulate(buffer_.begin(), buffer_.end(), 0.0);
+  }
   ++pushes_;
 }
 

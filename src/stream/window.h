@@ -3,7 +3,8 @@
 // Both framework families need "sum of X over the current window": LBD/LBA
 // sum spent publication budget (Alg. 1 line 7), LPD/LPA sum used publication
 // users (Alg. 3 line 7). `SlidingWindowSum` keeps the last w values in a
-// ring buffer with an O(1) running sum.
+// ring buffer with an O(1) running sum, re-summed from the ring every w
+// pushes so its rounding error cannot grow over an infinite stream.
 #ifndef LDPIDS_STREAM_WINDOW_H_
 #define LDPIDS_STREAM_WINDOW_H_
 

@@ -90,5 +90,17 @@ TEST(SlidingWindowSumTest, LongRunMatchesNaiveSum) {
   }
 }
 
+// A running sum that only adds and subtracts loses what one huge value
+// absorbed: 1e17 + 1 rounds to 1e17, so once the 1e17 is evicted the sum
+// misses every 1.0 added beside it. The ring itself still holds the exact
+// values, and re-summing it once per w pushes recovers them.
+TEST(SlidingWindowSumTest, RoundingErrorDoesNotOutliveTheWindow) {
+  SlidingWindowSum w(4);
+  w.Push(1e17);
+  for (int i = 0; i < 7; ++i) w.Push(1.0);
+  EXPECT_DOUBLE_EQ(w.Sum(), 4.0);
+  EXPECT_DOUBLE_EQ(w.SumLastWMinus1(), 3.0);
+}
+
 }  // namespace
 }  // namespace ldpids
