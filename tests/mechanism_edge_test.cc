@@ -2,7 +2,10 @@
 // minimal populations, and cross-feature interactions (post-processing on
 // adaptive mechanisms, FO switching mid-family).
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,7 +16,9 @@
 #include "core/lpd.h"
 #include "core/lpu.h"
 #include "datagen/probability_model.h"
+#include "datagen/realworld_sim.h"
 #include "datagen/synthetic.h"
+#include "test_util.h"
 
 namespace ldpids {
 namespace {
@@ -152,6 +157,68 @@ TEST(MechanismEdgeTest, ZeroedFirstReleaseNeverLeaksNan) {
     for (const Histogram& r : run.releases) {
       for (double x : r) EXPECT_TRUE(std::isfinite(x)) << name;
     }
+  }
+}
+
+// Bit-level pin of the four adaptive mechanisms away from session_test's
+// single configuration: window sizes from 1 to 20, budgets from 0.05 to
+// 20, populations at the 2w bound (and N = 7 at w = 3, where N/(2w) is
+// floored), a u_min that suppresses small LPD cohorts, both
+// post-processing modes, GRR and OLH, cohort and per-user simulation, on a
+// binary LNS stream and a d = 17 drifting-Zipf stream. Each mechanism's
+// runs chain into one digest; the digests were captured before the four
+// mechanisms became one class, so any change to a schedule's arithmetic,
+// an edge rule or the RNG draw order shows up here.
+TEST(MechanismEdgeTest, AdaptiveMechanismsMatchEdgeGridDigests) {
+  struct Shape {
+    std::size_t window;
+    uint64_t users;
+  };
+  constexpr Shape kShapes[] = {{1, 2},    {2, 4},    {3, 6},    {3, 7},
+                               {8, 16},   {20, 40},  {1, 1200}, {2, 1200},
+                               {3, 1200}, {8, 1200}, {20, 1200}};
+  constexpr double kEpsilons[] = {0.05, 0.5, 3.0, 20.0};
+  constexpr std::size_t kLength = 50;
+  struct Golden {
+    const char* mechanism;
+    uint64_t digest;
+  };
+  constexpr Golden kGoldens[] = {
+      {"LBD", 0x303211B99D9EA1C3ULL},
+      {"LBA", 0xE041FDFF3D4C53DAULL},
+      {"LPD", 0x1FD3B9BDF8EF7722ULL},
+      {"LPA", 0x7FEE9BFCC38E895EULL},
+  };
+  for (const Golden& golden : kGoldens) {
+    uint64_t digest = 1469598103934665603ULL;
+    unsigned cell = 0;
+    for (const Shape& shape : kShapes) {
+      RealWorldSimOptions zipf;
+      zipf.seed = 17 + shape.users;
+      const std::shared_ptr<const StreamDataset> streams[] = {
+          MakeLnsDataset(shape.users, kLength, 0.0025, 3 + shape.users),
+          MakeDriftingZipfDataset("zipf", shape.users, kLength, 17,
+                                  /*timestamps_per_day=*/12, zipf)};
+      for (const double eps : kEpsilons) {
+        for (const auto& data : streams) {
+          // Rotate the four binary axes so that every 16 consecutive cells
+          // cover all their combinations (7 is odd, so cell * 7 walks all
+          // residues mod 16).
+          const unsigned mix = (cell++ * 7) % 16;
+          MechanismConfig c = Config(eps, shape.window);
+          c.fo = (mix & 1) != 0 ? "OLH" : "GRR";
+          c.per_user_simulation = (mix & 2) != 0;
+          c.min_publication_users = (mix & 4) != 0 ? 300 : 1;
+          c.post_process =
+              (mix & 8) != 0 ? PostProcess::kNormSub : PostProcess::kNone;
+          digest = testing::DigestRun(
+              CreateMechanism(golden.mechanism, c, shape.users)->Run(*data),
+              digest);
+        }
+      }
+    }
+    EXPECT_EQ(digest, golden.digest)
+        << golden.mechanism << " digest 0x" << std::hex << digest;
   }
 }
 

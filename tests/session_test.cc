@@ -17,33 +17,13 @@
 #include "core/factory.h"
 #include "core/mechanism.h"
 #include "datagen/synthetic.h"
+#include "test_util.h"
 #include "util/histogram.h"
 
 namespace ldpids {
 namespace {
 
-// FNV-1a over the raw bytes of the run's releases, publication flags and
-// message counters. Bitwise: any change in any released double trips it.
-uint64_t DigestRun(const RunResult& run) {
-  uint64_t h = 1469598103934665603ULL;
-  auto fold = [&h](const void* p, std::size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const Histogram& r : run.releases) {
-    fold(r.data(), r.size() * sizeof(double));
-  }
-  for (bool p : run.published) {
-    const unsigned char b = p ? 1 : 0;
-    fold(&b, 1);
-  }
-  fold(&run.total_messages, sizeof(run.total_messages));
-  fold(&run.num_publications, sizeof(run.num_publications));
-  return h;
-}
+using testing::DigestRun;
 
 MechanismConfig PinnedConfig(const std::string& fo, bool per_user) {
   MechanismConfig c;

@@ -1,17 +1,47 @@
-// Shared helpers for statistical assertions in the LDP-IDS test suite.
+// Shared helpers for the LDP-IDS test suite.
 //
 // Many properties under test are distributional (unbiasedness, variance
 // formulas, LDP perturbation probabilities). The helpers below compute
 // sample moments and standard errors so tests can assert with principled
-// tolerances (a few standard errors) instead of magic numbers.
+// tolerances (a few standard errors) instead of magic numbers. Regression
+// pins instead compare whole runs bit for bit through `DigestRun`.
 #ifndef LDPIDS_TESTS_TEST_UTIL_H_
 #define LDPIDS_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
+#include "core/mechanism.h"
+#include "util/histogram.h"
+
 namespace ldpids::testing {
+
+// FNV-1a over the raw bytes of the run's releases, publication flags and
+// message counters. Bitwise: any change in any released double trips it.
+// `h` chains several runs into one digest.
+inline uint64_t DigestRun(const RunResult& run,
+                          uint64_t h = 1469598103934665603ULL) {
+  auto fold = [&h](const void* p, std::size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const Histogram& r : run.releases) {
+    fold(r.data(), r.size() * sizeof(double));
+  }
+  for (bool p : run.published) {
+    const unsigned char b = p ? 1 : 0;
+    fold(&b, 1);
+  }
+  fold(&run.total_messages, sizeof(run.total_messages));
+  fold(&run.num_publications, sizeof(run.num_publications));
+  return h;
+}
 
 inline double SampleMean(const std::vector<double>& xs) {
   return std::accumulate(xs.begin(), xs.end(), 0.0) /
