@@ -11,10 +11,10 @@ namespace {
 constexpr double kTolerance = 1e-9;
 }  // namespace
 
-BudgetLedger::BudgetLedger(double total_epsilon, std::size_t w)
-    : total_epsilon_(total_epsilon), dis_(w), pub_(w) {
-  if (!(total_epsilon > 0.0)) {
-    throw std::invalid_argument("total epsilon must be positive");
+BudgetLedger::BudgetLedger(double total, std::size_t w)
+    : total_(total), dis_(w), pub_(w) {
+  if (!(total > 0.0)) {
+    throw std::invalid_argument("ledger total must be positive");
   }
 }
 
@@ -22,16 +22,15 @@ double BudgetLedger::PublicationSpentInActiveWindow() const {
   return pub_.SumLastWMinus1();
 }
 
-void BudgetLedger::Record(double dissimilarity_epsilon,
-                          double publication_epsilon) {
-  if (dissimilarity_epsilon < 0.0 || publication_epsilon < 0.0) {
+void BudgetLedger::Record(double dissimilarity, double publication) {
+  if (dissimilarity < 0.0 || publication < 0.0) {
     throw std::logic_error("negative privacy budget recorded");
   }
-  dis_.Push(dissimilarity_epsilon);
-  pub_.Push(publication_epsilon);
-  if (WindowSpent() > total_epsilon_ * (1.0 + kTolerance)) {
+  dis_.Push(dissimilarity);
+  pub_.Push(publication);
+  if (WindowSpent() > total_ * (1.0 + kTolerance)) {
     throw std::logic_error(
-        "w-event budget invariant violated: window spend exceeds epsilon");
+        "w-event budget invariant violated: window spend exceeds the total");
   }
 }
 

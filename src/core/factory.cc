@@ -8,11 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "core/lba.h"
-#include "core/lbd.h"
+#include "core/adaptive.h"
 #include "core/lbu.h"
-#include "core/lpa.h"
-#include "core/lpd.h"
 #include "core/lpu.h"
 #include "core/lsp.h"
 
@@ -26,11 +23,24 @@ std::unique_ptr<StreamMechanism> CreateMechanism(const std::string& name,
                  [](unsigned char c) { return std::toupper(c); });
   if (upper == "LBU") return std::make_unique<LbuMechanism>(config, num_users);
   if (upper == "LSP") return std::make_unique<LspMechanism>(config, num_users);
-  if (upper == "LBD") return std::make_unique<LbdMechanism>(config, num_users);
-  if (upper == "LBA") return std::make_unique<LbaMechanism>(config, num_users);
   if (upper == "LPU") return std::make_unique<LpuMechanism>(config, num_users);
-  if (upper == "LPD") return std::make_unique<LpdMechanism>(config, num_users);
-  if (upper == "LPA") return std::make_unique<LpaMechanism>(config, num_users);
+  struct Adaptive {
+    const char* name;
+    Division division;
+    Schedule schedule;
+  };
+  constexpr Adaptive kAdaptive[] = {
+      {"LBD", Division::kBudget, Schedule::kDistribution},
+      {"LBA", Division::kBudget, Schedule::kAbsorption},
+      {"LPD", Division::kPopulation, Schedule::kDistribution},
+      {"LPA", Division::kPopulation, Schedule::kAbsorption},
+  };
+  for (const Adaptive& adaptive : kAdaptive) {
+    if (upper == adaptive.name) {
+      return std::make_unique<AdaptiveMechanism>(
+          adaptive.division, adaptive.schedule, config, num_users);
+    }
+  }
   throw std::invalid_argument("unknown mechanism: " + name);
 }
 

@@ -9,8 +9,8 @@
 namespace ldpids {
 
 namespace {
-// Validates the LPU population precondition before any member construction;
-// see the equivalent helper in lpa.cc for the rationale.
+// Validates the LPU population precondition before any member construction
+// and returns the window for the delegating constructor to pass on.
 std::size_t CheckedLpuWindow(std::size_t window, uint64_t num_users) {
   if (num_users < static_cast<uint64_t>(window)) {
     throw std::invalid_argument("LPU needs at least w users");

@@ -31,7 +31,8 @@ class LpuMechanism final : public StreamMechanism {
   StepResult DoStep(CollectorContext& ctx, std::size_t t) override;
 
  private:
-  // Delegation target with a pre-validated window; see lpa.h.
+  // Delegation target: `window` was validated against `num_users` before
+  // the base class or the PopulationManager is built.
   LpuMechanism(std::size_t window, MechanismConfig&& config,
                uint64_t num_users);
 

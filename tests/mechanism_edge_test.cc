@@ -12,8 +12,6 @@
 #include "analysis/metrics.h"
 #include "analysis/runner.h"
 #include "core/factory.h"
-#include "core/lpa.h"
-#include "core/lpd.h"
 #include "core/lpu.h"
 #include "datagen/probability_model.h"
 #include "datagen/realworld_sim.h"
@@ -70,20 +68,19 @@ TEST(MechanismEdgeTest, MinimalPopulationForPopulationDivision) {
 }
 
 TEST(MechanismEdgeTest, LpaConstructionAtExactPopulationBoundary) {
-  // Regression for the constructor-initialization hazard: LPA used to read
-  // its config mid-initialization while the argument was being moved into
-  // the base class. At the num_users == 2*w boundary the PopulationManager
-  // must be built with the *validated* window, and the mechanism must run a
-  // full stream (one dissimilarity user per timestamp, unit = N/(2w) = 1).
+  // At the num_users == 2*w boundary the PopulationManager must be built
+  // with the validated window, and the mechanism must run a full stream
+  // (one dissimilarity user per timestamp, unit = N/(2w) = 1).
   const MechanismConfig c = Config(1.0, 10);
-  LpaMechanism lpa(c, 20);
-  EXPECT_EQ(lpa.config().window, 10u);
-  EXPECT_EQ(lpa.num_users(), 20u);
+  const auto lpa = CreateMechanism("LPA", c, 20);
+  EXPECT_EQ(lpa->name(), "LPA");
+  EXPECT_EQ(lpa->config().window, 10u);
+  EXPECT_EQ(lpa->num_users(), 20u);
   const auto data = MakeSinDataset(20, 25, 0.05, 11);
-  const RunResult run = lpa.Run(*data);
+  const RunResult run = lpa->Run(*data);
   EXPECT_EQ(run.releases.size(), 25u);
   // One user short of the boundary must be rejected up front.
-  EXPECT_THROW(LpaMechanism(c, 19), std::invalid_argument);
+  EXPECT_THROW(CreateMechanism("LPA", c, 19), std::invalid_argument);
 }
 
 TEST(MechanismEdgeTest, PopulationMechanismsValidatePopulationUpFront) {
@@ -92,10 +89,10 @@ TEST(MechanismEdgeTest, PopulationMechanismsValidatePopulationUpFront) {
   const MechanismConfig c = Config(1.0, 8);
   EXPECT_NO_THROW(LpuMechanism(c, 8));
   EXPECT_THROW(LpuMechanism(c, 7), std::invalid_argument);
-  EXPECT_NO_THROW(LpdMechanism(c, 16));
-  EXPECT_THROW(LpdMechanism(c, 15), std::invalid_argument);
-  EXPECT_NO_THROW(LpaMechanism(c, 16));
-  EXPECT_THROW(LpaMechanism(c, 15), std::invalid_argument);
+  EXPECT_NO_THROW(CreateMechanism("LPD", c, 16));
+  EXPECT_THROW(CreateMechanism("LPD", c, 15), std::invalid_argument);
+  EXPECT_NO_THROW(CreateMechanism("LPA", c, 16));
+  EXPECT_THROW(CreateMechanism("LPA", c, 15), std::invalid_argument);
 }
 
 TEST(MechanismEdgeTest, PostProcessingComposesWithAdaptiveMechanisms) {
