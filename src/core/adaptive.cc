@@ -118,10 +118,9 @@ StepResult AdaptiveMechanism::DoStep(CollectorContext& ctx, std::size_t t) {
   double spent = 0.0;
   if (amount > 0.0 &&
       dis > MeanVariance(RoundEpsilon(amount), RoundUsers(amount))) {
-    // Publication strategy. LPD publishes only a non-empty cohort.
+    // Publication strategy, unless the population pool has run dry.
     const std::vector<uint32_t>* cohort = DrawCohort(amount);
-    if (cohort == nullptr || !cohort->empty() ||
-        schedule_ == Schedule::kAbsorption) {
+    if (cohort == nullptr || !cohort->empty()) {
       uint64_t n_pub = 0;
       CollectViaFo(ctx, t, RoundEpsilon(amount), cohort, &n_pub,
                    &result.release);
