@@ -227,8 +227,17 @@ void HttpServer::AcceptLoop() {
       return;
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
-    worker_fds_.push_back(fd);
-    workers_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    // Reap finished connections. Their threads never take mu_ again, so
+    // the joins return promptly.
+    for (auto it = workers_.begin(); it != workers_.end();) {
+      if (it->fd >= 0) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = workers_.erase(it);
+    }
+    workers_.push_back({std::thread([this, fd] { ConnectionLoop(fd); }), fd});
   }
 }
 
@@ -303,9 +312,9 @@ void HttpServer::ConnectionLoop(int fd) {
     // Deregister before closing: once the fd is closed the kernel may
     // recycle its number, and Stop() must never shutdown() a stale entry.
     std::lock_guard<std::mutex> lock(mu_);
-    for (int& worker_fd : worker_fds_) {
-      if (worker_fd == fd) {
-        worker_fd = -1;
+    for (Worker& worker : workers_) {
+      if (worker.fd == fd) {
+        worker.fd = -1;
         break;
       }
     }
@@ -325,15 +334,14 @@ void HttpServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : worker_fds_) {
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+    for (const Worker& worker : workers_) {
+      if (worker.fd >= 0) ::shutdown(worker.fd, SHUT_RDWR);
     }
   }
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
+  for (Worker& worker : workers_) {
+    if (worker.thread.joinable()) worker.thread.join();
   }
   workers_.clear();
-  worker_fds_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -17,10 +17,12 @@
 //
 // Threading: one accept thread plus one thread per connection (scrapes
 // are rare and short-lived; a thread per scraper costs nothing next to
-// the serving data plane). The handler runs on connection threads and
-// must be thread-safe; handlers here render from MetricsRegistry
-// snapshots, which are safe by construction. Stop() — and the destructor
-// — closes every socket and joins every thread.
+// the serving data plane). Each accept first joins the connection threads
+// that have finished, so a periodic scraper holds no stack beyond its own
+// connection's. The handler runs on connection threads and must be
+// thread-safe; handlers here render from MetricsRegistry snapshots, which
+// are safe by construction. Stop() — and the destructor — closes every
+// socket and joins every thread.
 #ifndef LDPIDS_OBS_HTTP_SERVER_H_
 #define LDPIDS_OBS_HTTP_SERVER_H_
 
@@ -112,10 +114,16 @@ class HttpServer {
   HttpHandler handler_;
   std::thread accept_thread_;
 
+  // One per connection thread not yet joined; `fd` turns -1 (under mu_)
+  // once the thread is done with its socket and only has to exit.
+  struct Worker {
+    std::thread thread;
+    int fd;
+  };
+
   std::mutex mu_;
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
-  std::vector<int> worker_fds_;
+  std::vector<Worker> workers_;
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<uint64_t> connections_{0};
 };

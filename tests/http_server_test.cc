@@ -24,6 +24,7 @@
 #include "obs/scrape_endpoint.h"
 #include "service/client_fleet.h"
 #include "service/session.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ldpids {
@@ -296,6 +297,36 @@ TEST(HttpServerTest, AbruptClientCloseDoesNotCrashServer) {
   }
   // The server must still answer.
   EXPECT_NE(Get(server.port(), "/ok").find("200 OK"), std::string::npos);
+}
+
+// A periodic scraper opens one short connection per scrape. Each finished
+// connection thread must be joined as the server goes on, not kept until
+// Stop(): one unjoined 8 MiB stack per scrape would add ~4 GB here.
+TEST(HttpServerTest, ScrapeCyclesLeaveNoThreadStacks) {
+  constexpr int kScrapes = 500;
+  // The first scrapes warm the allocator arenas and the thread-stack
+  // cache; growth is measured over the rest.
+  constexpr int kWarmup = 50;
+  HttpServer server = MakeEchoServer();
+  for (int i = 0; i < kWarmup; ++i) {
+    ASSERT_NE(Get(server.port(), "/warm").find("200 OK"), std::string::npos);
+  }
+  const uint64_t before_kb = testing::VmSizeKb();
+  for (int i = kWarmup; i < kScrapes; ++i) {
+    ASSERT_NE(Get(server.port(), "/scrape").find("200 OK"), std::string::npos);
+  }
+  const uint64_t after_kb = testing::VmSizeKb();
+  ASSERT_GT(before_kb, 0u);
+  // AddressSanitizer keeps freed blocks mapped in its quarantine (256 MiB
+  // by default).
+#if defined(__SANITIZE_ADDRESS__)
+  constexpr uint64_t kQuarantineKb = 256 * 1024;
+#else
+  constexpr uint64_t kQuarantineKb = 0;
+#endif
+  EXPECT_LT(after_kb, before_kb + 64 * 1024 + kQuarantineKb)
+      << "VmSize grew from " << before_kb << " KiB to " << after_kb << " KiB";
+  EXPECT_EQ(server.connections_accepted(), static_cast<uint64_t>(kScrapes));
 }
 
 TEST(HttpServerTest, ConcurrentScrapesAllSucceed) {

@@ -11,7 +11,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/mechanism.h"
@@ -66,6 +68,21 @@ inline bool MeanWithin(const std::vector<double>& xs, double expected,
                        double sigmas = 5.0, double abs_slack = 1e-12) {
   return std::fabs(SampleMean(xs) - expected) <=
          sigmas * StdError(xs) + abs_slack;
+}
+
+// VmSize from /proc/self/status, in KiB (0 if unreadable). Leak tests
+// bound its growth over many connect/close cycles.
+inline uint64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+  }
+  return 0;
 }
 
 }  // namespace ldpids::testing

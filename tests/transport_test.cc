@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -30,6 +29,7 @@
 #include "fo/wire.h"
 #include "service/client_fleet.h"
 #include "service/session.h"
+#include "test_util.h"
 #include "transport/batch_file.h"
 #include "transport/frame.h"
 #include "transport/round_buffer.h"
@@ -41,6 +41,7 @@ namespace ldpids {
 namespace {
 
 using service::ClientFleet;
+using testing::VmSizeKb;
 using service::MechanismSession;
 using service::RoundRequest;
 using service::SessionOptions;
@@ -530,20 +531,6 @@ std::size_t ProcessThreadCount() {
     ++threads;
   }
   return threads;
-}
-
-// VmSize from /proc/self/status, in KiB (0 if unreadable).
-uint64_t VmSizeKb() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmSize:") {
-      uint64_t kb = 0;
-      status >> kb;
-      return kb;
-    }
-  }
-  return 0;
 }
 
 // One loop thread serves every peer: idle connections cost a decoder each,
