@@ -41,12 +41,13 @@ namespace ldpids {
 struct MechanismConfig {
   double epsilon = 1.0;    // total w-event LDP budget
   std::size_t window = 20;  // w
-  std::string fo = "GRR";  // frequency oracle name (GRR | OUE | OLH)
+  std::string fo = "GRR";  // frequency oracle (GRR | OUE | SUE | OLH | HR)
   uint64_t seed = 7;       // mechanism RNG seed
 
   // LPD's minimal publication-cohort size u_min (Alg. 3 line 10). With the
   // exponential population decay, N_pp can shrink below any useful size;
-  // publications are suppressed once it does.
+  // publications are suppressed once it does. LPA ignores it: absorption
+  // never proposes fewer than N/(2w) users.
   uint64_t min_publication_users = 1;
 
   // When true, users are simulated individually through the full client
