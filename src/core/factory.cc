@@ -24,23 +24,16 @@ std::unique_ptr<StreamMechanism> CreateMechanism(const std::string& name,
   if (upper == "LBU") return std::make_unique<LbuMechanism>(config, num_users);
   if (upper == "LSP") return std::make_unique<LspMechanism>(config, num_users);
   if (upper == "LPU") return std::make_unique<LpuMechanism>(config, num_users);
-  struct Adaptive {
-    const char* name;
-    Division division;
-    Schedule schedule;
+  const auto adaptive = [&](Division division, Schedule schedule) {
+    return std::make_unique<AdaptiveMechanism>(division, schedule, config,
+                                               num_users);
   };
-  constexpr Adaptive kAdaptive[] = {
-      {"LBD", Division::kBudget, Schedule::kDistribution},
-      {"LBA", Division::kBudget, Schedule::kAbsorption},
-      {"LPD", Division::kPopulation, Schedule::kDistribution},
-      {"LPA", Division::kPopulation, Schedule::kAbsorption},
-  };
-  for (const Adaptive& adaptive : kAdaptive) {
-    if (upper == adaptive.name) {
-      return std::make_unique<AdaptiveMechanism>(
-          adaptive.division, adaptive.schedule, config, num_users);
-    }
-  }
+  using enum Division;
+  using enum Schedule;
+  if (upper == "LBD") return adaptive(kBudget, kDistribution);
+  if (upper == "LBA") return adaptive(kBudget, kAbsorption);
+  if (upper == "LPD") return adaptive(kPopulation, kDistribution);
+  if (upper == "LPA") return adaptive(kPopulation, kAbsorption);
   throw std::invalid_argument("unknown mechanism: " + name);
 }
 

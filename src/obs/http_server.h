@@ -118,7 +118,7 @@ class HttpServer {
   // once the thread is done with its socket and only has to exit.
   struct Worker {
     std::thread thread;
-    int fd;
+    int fd = -1;
   };
 
   std::mutex mu_;
