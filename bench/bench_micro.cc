@@ -4,6 +4,7 @@
 // are visible.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "transport/frame.h"
+#include "transport/round_buffer.h"
 #include "util/distributions.h"
 #include "util/rng.h"
 #include "util/sampling.h"
@@ -331,6 +333,58 @@ BENCHMARK(BM_FrameRoundTrip)
     ->Arg(0)   // GRR: 25-byte packets, framing overhead dominated
     ->Arg(1)   // OUE: 151-byte packets
     ->Arg(2);  // OLH
+
+void BM_FrameDeliver(benchmark::State& state) {
+  // The listener loop's share of a bd-grr round: 4,686 GRR frames (d = 64,
+  // 52 bytes each) arrive in 64 KiB reads, go through a FrameDecoder into
+  // a RoundBuffer, and the round is drained with TakeRound. bench_serve's
+  // traced transport.deliver_ns_per_frame times Deliver alone; this also
+  // covers the decoder and the drain. items/sec is frames/sec.
+  constexpr std::size_t kFrames = 4686;
+  constexpr std::size_t kDomain = 64;
+  constexpr std::size_t kRead = 64 * 1024;
+  std::vector<transport::Frame> frames;
+  frames.reserve(kFrames + 1);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frames.push_back(transport::MakeDataFrame(
+        7, 0,
+        EncodeGrrReport(static_cast<uint32_t>(i % kDomain), kDomain, 0,
+                        i + 1)));
+  }
+  frames.push_back(transport::MakeEndRoundFrame(7, 0, kFrames));
+  transport::RoundBuffer buffer;
+  transport::FrameDecoder decoder;
+  transport::Frame frame;
+  std::vector<uint8_t> encoded;
+  uint64_t round = 0;
+  for (auto _ : state) {
+    // Rounds drain strictly in order, so each iteration re-encodes the
+    // round under the next index, untimed.
+    state.PauseTiming();
+    encoded.clear();
+    for (transport::Frame& f : frames) {
+      f.timestamp = round;
+      transport::AppendEncodedFrame(f, &encoded);
+    }
+    state.ResumeTiming();
+    for (std::size_t off = 0; off < encoded.size(); off += kRead) {
+      const std::size_t n = std::min(kRead, encoded.size() - off);
+      std::memcpy(decoder.Reserve(n), encoded.data() + off, n);
+      decoder.Commit(n);
+      while (decoder.Next(&frame)) buffer.Deliver(std::move(frame));
+    }
+    if (buffer.TakeRound(round++).size() != kFrames) {
+      state.SkipWithError("frame loss in delivery");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kFrames));
+  state.SetLabel(
+      "GRR/d=64/frame=" +
+      std::to_string(transport::EncodedFrameSize(frames[0].payload.size())) +
+      "B");
+}
+BENCHMARK(BM_FrameDeliver);
 
 void BM_FoKernel(benchmark::State& state) {
   // Vectorized fold + estimate over pre-staged arena rows: the pure

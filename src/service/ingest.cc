@@ -103,6 +103,7 @@ void IngestShard::IngestSlice(const ReportArena& arena,
   // prefix into the scratch list and the loop continues in push mode.
   bool rejected = false;
   accept_scratch_.clear();
+  seen_.Reserve(seen_.size() + count);
   for (std::size_t i = 0; i < count; ++i) {
     const uint32_t row =
         indices != nullptr ? indices[i] : static_cast<uint32_t>(i);
@@ -256,8 +257,13 @@ void ReportRouter::IngestStaged(std::size_t num_threads) {
     shards_[0].IngestSlice(arena_, nullptr, rows);
     return;
   }
+  // No slice can outgrow the staged row count, so the partition below
+  // never reallocates.
   slices_.resize(k);
-  for (std::vector<uint32_t>& s : slices_) s.clear();
+  for (std::vector<uint32_t>& s : slices_) {
+    s.clear();
+    s.reserve(rows);
+  }
   const uint64_t* nonces = arena_.nonces();
   for (std::size_t i = 0; i < rows; ++i) {
     slices_[static_cast<std::size_t>(Mix64(nonces[i])) % k].push_back(

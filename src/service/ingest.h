@@ -118,7 +118,8 @@ class IngestShard {
   IngestStats stats_;
   DecodedReport scratch_;  // reused across packets; no per-packet alloc
   // Nonces accepted this round: a re-delivered packet (retry, duplicating
-  // network, replayed log) must not double-count its user.
+  // network, replayed log) must not double-count its user. Each
+  // IngestSlice reserves it for the slice's rows up front.
   U64Set seen_;
   // Accepted arena rows of the current IngestSlice call; reused.
   std::vector<uint32_t> accept_scratch_;

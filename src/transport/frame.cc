@@ -135,6 +135,23 @@ FrameError ParseFrameShape(const uint8_t* data, std::size_t size,
   return FrameError::kOk;
 }
 
+bool ChecksumMatches(const uint8_t* data, std::size_t total) {
+  return GetU32Le(data + total - kChecksumSize) ==
+         WireChecksum(data, total - kChecksumSize);
+}
+
+// The checks after a frame's shape, in the original decoder's order: the
+// checksum verdict, then the control-payload shape.
+FrameError CheckShapedFrame(const uint8_t* data, std::size_t total,
+                            bool checksum_ok) {
+  if (!checksum_ok) return FrameError::kChecksumMismatch;
+  if (data[3] == static_cast<uint8_t>(FrameKind::kEndRound) &&
+      total - kHeaderSize - kChecksumSize != 8) {
+    return FrameError::kBadControl;
+  }
+  return FrameError::kOk;
+}
+
 void FillFrameHeader(const uint8_t* data, Frame* out) {
   out->session_id = GetU64Le(data + 4);
   out->timestamp = GetU64Le(data + 12);
@@ -146,22 +163,16 @@ void FillFrameHeader(const uint8_t* data, Frame* out) {
 FrameError TryDecodeFrame(const uint8_t* data, std::size_t size, Frame* out,
                           std::size_t* consumed) {
   std::size_t total = 0;
-  const FrameError shape = ParseFrameShape(data, size, &total);
-  if (shape != FrameError::kOk) return shape;
-  const uint32_t stored = GetU32Le(data + total - kChecksumSize);
-  if (stored != WireChecksum(data, total - kChecksumSize)) {
-    return FrameError::kChecksumMismatch;
+  FrameError err = ParseFrameShape(data, size, &total);
+  if (err == FrameError::kOk) {
+    err = CheckShapedFrame(data, total, ChecksumMatches(data, total));
   }
-  const std::size_t payload_len = total - kHeaderSize - kChecksumSize;
-  if (data[3] == static_cast<uint8_t>(FrameKind::kEndRound) &&
-      payload_len != 8) {
-    return FrameError::kBadControl;
-  }
+  if (err != FrameError::kOk) return err;
   FillFrameHeader(data, out);
   // The standalone decoder borrows nothing: the caller's buffer may die
   // right after this returns, so the payload is copied into an owning ref.
   out->payload = std::vector<uint8_t>(data + kHeaderSize,
-                                      data + kHeaderSize + payload_len);
+                                      data + total - kChecksumSize);
   *consumed = total;
   return FrameError::kOk;
 }
@@ -205,7 +216,8 @@ void FrameDecoder::Commit(std::size_t size) {
 }
 
 void FrameDecoder::BuildVerifiedRun() {
-  verified_.clear();
+  verify_datas_.clear();
+  verify_sizes_.clear();
   verified_idx_ = 0;
   cache_valid_ = true;
   if (block_ == nullptr) return;
@@ -217,70 +229,53 @@ void FrameDecoder::BuildVerifiedRun() {
         FrameError::kOk) {
       break;  // incomplete tail or a corrupt byte: the step path takes over
     }
-    verified_.push_back({cursor, total, false});
+    verify_datas_.push_back(base + cursor);
+    verify_sizes_.push_back(total);
     cursor += total;
   }
-  if (verified_.empty()) return;
-  verify_datas_.clear();
-  verify_sizes_.clear();
-  for (const VerifiedFrame& v : verified_) {
-    verify_datas_.push_back(base + v.offset);
-    verify_sizes_.push_back(v.total);
-  }
-  verify_ok_.assign(verified_.size(), 0);
+  if (verify_datas_.empty()) return;
+  // resize, not assign: VerifyChecksums writes every verdict slot.
+  verify_ok_.resize(verify_datas_.size());
   // One batched checksum pass over the whole run — the same VerifyChecksums
   // entry the arena decoder uses (frame trailer layout matches the wire
   // envelope's: 4 checksum bytes over everything before them).
   VerifyChecksums(verify_datas_.data(), verify_sizes_.data(),
-                  verified_.size(), verify_ok_.data());
-  for (std::size_t i = 0; i < verified_.size(); ++i) {
-    verified_[i].ok = verify_ok_[i] != 0;
-  }
-}
-
-FrameError FrameDecoder::DecodeStep(bool have_verdict, bool checksum_ok,
-                                    Frame* out, std::size_t* consumed) {
-  const uint8_t* data = block_->data() + pos_;
-  std::size_t total = 0;
-  const FrameError shape = ParseFrameShape(data, end_ - pos_, &total);
-  if (shape != FrameError::kOk) return shape;
-  if (have_verdict ? !checksum_ok
-                   : GetU32Le(data + total - kChecksumSize) !=
-                         WireChecksum(data, total - kChecksumSize)) {
-    return FrameError::kChecksumMismatch;
-  }
-  const std::size_t payload_len = total - kHeaderSize - kChecksumSize;
-  if (data[3] == static_cast<uint8_t>(FrameKind::kEndRound) &&
-      payload_len != 8) {
-    return FrameError::kBadControl;
-  }
-  FillFrameHeader(data, out);
-  // Zero-copy hand-off: the payload aliases the pooled block and keeps it
-  // alive until consumed.
-  out->payload = PayloadRef(block_, data + kHeaderSize, payload_len);
-  *consumed = total;
-  return FrameError::kOk;
+                  verify_datas_.size(), verify_ok_.data());
 }
 
 bool FrameDecoder::Next(Frame* out) {
   while (pos_ < end_) {
     if (!cache_valid_) BuildVerifiedRun();
+    const uint8_t* data = block_->data() + pos_;
     // Resyncs may have advanced the cursor past cached entries.
-    while (verified_idx_ < verified_.size() &&
-           verified_[verified_idx_].offset < pos_) {
+    while (verified_idx_ < verify_datas_.size() &&
+           verify_datas_[verified_idx_] < data) {
       ++verified_idx_;
     }
-    const bool have_verdict = verified_idx_ < verified_.size() &&
-                              verified_[verified_idx_].offset == pos_;
-    const bool checksum_ok = have_verdict && verified_[verified_idx_].ok;
-    if (have_verdict) ++verified_idx_;
-    std::size_t consumed = 0;
-    const FrameError err = DecodeStep(have_verdict, checksum_ok, out,
-                                      &consumed);
+    std::size_t total = 0;
+    FrameError err = FrameError::kOk;
+    if (verified_idx_ < verify_datas_.size() &&
+        verify_datas_[verified_idx_] == data) {
+      // The batch pass already parsed this frame's shape and checked its
+      // checksum.
+      total = verify_sizes_[verified_idx_];
+      err = CheckShapedFrame(data, total, verify_ok_[verified_idx_] != 0);
+      ++verified_idx_;
+    } else {
+      err = ParseFrameShape(data, end_ - pos_, &total);
+      if (err == FrameError::kOk) {
+        err = CheckShapedFrame(data, total, ChecksumMatches(data, total));
+      }
+    }
     if (err == FrameError::kOk) {
-      pos_ += consumed;
+      FillFrameHeader(data, out);
+      // Zero-copy hand-off: the payload aliases the pooled block and keeps
+      // it alive until consumed.
+      out->payload = PayloadRef(block_, data + kHeaderSize,
+                                total - kHeaderSize - kChecksumSize);
+      pos_ += total;
       ++stats_.frames;
-      stats_.bytes += consumed;
+      stats_.bytes += total;
       switch (out->kind) {
         case FrameKind::kData: ++stats_.data_frames; break;
         case FrameKind::kEndRound: ++stats_.end_round_frames; break;

@@ -150,10 +150,12 @@ struct FrameStats {
 // the bytes enter the decoder (and zero before it, with Reserve/Commit).
 // After each intake the decoder scans the structurally complete frames
 // ahead and verifies their checksums in one batched VerifyChecksums pass
-// (fo/wire.h); Next() then serves the verified run without touching the
-// payload bytes again. Any frame that fails the batch — or any resync —
-// falls back to the exact per-frame path, so error classification and
-// stats are byte-for-byte those of the incremental decoder.
+// (fo/wire.h); Next() then serves the verified run without parsing the
+// header or touching the payload bytes again. A frame that fails the
+// batch is rejected for its checksum, and bytes outside the run (after a
+// resync, or an incomplete tail) take the exact per-frame path, so error
+// classification and stats are byte-for-byte those of the incremental
+// decoder.
 class FrameDecoder {
  public:
   FrameDecoder() = default;
@@ -184,34 +186,22 @@ class FrameDecoder {
   const BufferPool& pool() const { return pool_; }
 
  private:
-  // One structurally complete frame found ahead of the cursor, with its
-  // batched checksum verdict.
-  struct VerifiedFrame {
-    std::size_t offset = 0;  // into the current block
-    std::size_t total = 0;   // encoded size
-    bool ok = false;         // checksum matched in the batch pass
-  };
-
   // Re-scan [pos_, end_) for structurally complete frames and batch-verify
   // their checksums. Valid until the cursor leaves the run or bytes move.
   void BuildVerifiedRun();
-  // One decode attempt at pos_ — TryDecodeFrame's exact logic, with the
-  // checksum comparison optionally replaced by the batched verdict and the
-  // payload emitted as a block-aliasing PayloadRef.
-  FrameError DecodeStep(bool have_verdict, bool checksum_ok, Frame* out,
-                        std::size_t* consumed);
 
   BufferPool pool_;
   std::shared_ptr<std::vector<uint8_t>> block_;
   std::size_t pos_ = 0;  // consumed prefix within block_
   std::size_t end_ = 0;  // valid bytes within block_
-  std::vector<VerifiedFrame> verified_;
-  std::size_t verified_idx_ = 0;
-  bool cache_valid_ = false;
-  // Scratch for the batched checksum pass; reused across intakes.
+  // The verified run, as the batched checksum pass takes it: frame i
+  // starts at verify_datas_[i] in block_, spans verify_sizes_[i] bytes,
+  // and its checksum matched iff verify_ok_[i]. Reused across intakes.
   std::vector<const uint8_t*> verify_datas_;
   std::vector<std::size_t> verify_sizes_;
   std::vector<uint8_t> verify_ok_;
+  std::size_t verified_idx_ = 0;  // next run entry Next() may serve
+  bool cache_valid_ = false;
   FrameStats stats_;
 };
 

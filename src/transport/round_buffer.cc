@@ -132,7 +132,7 @@ DeliverResult RoundBuffer::Deliver(Frame&& frame) {
   // far-future round index must not poison the watermark and starve every
   // legitimate round behind it.
   if (round > newest_round_) newest_round_ = round;
-  PendingRound& pending = pending_[round];
+  PendingRound& pending = Pending(round);
   if (frame.kind == FrameKind::kEndRound) {
     ++stats_.end_markers;
     if (!pending.marker_seen) {
@@ -154,6 +154,15 @@ DeliverResult RoundBuffer::Deliver(Frame&& frame) {
   return DeliverResult::kBuffered;
 }
 
+RoundBuffer::PendingRound& RoundBuffer::Pending(uint64_t round) {
+  const auto [it, created] = pending_.try_emplace(round);
+  if (created && round <= next_round_ + 1) {
+    it->second.packets.reserve(last_round_packets_);
+    it->second.identities.Reserve(last_round_packets_);
+  }
+  return it->second;
+}
+
 std::vector<PayloadRef> RoundBuffer::TakeRound(uint64_t round) {
   std::unique_lock<std::mutex> lock(mu_);
   if (round != next_round_) {
@@ -161,10 +170,10 @@ std::vector<PayloadRef> RoundBuffer::TakeRound(uint64_t round) {
   }
   const bool complete = complete_cv_.wait_for(
       lock, options_.round_deadline,
-      [&] { return Complete(pending_[round]); });
+      [&] { return Complete(Pending(round)); });
+  PendingRound& p = Pending(round);
   if (!complete) {
     ++stats_.deadline_flushes;
-    const PendingRound& p = pending_[round];
     if (p.marker_seen && p.packets.size() >= p.expected) {
       // Raw arrivals reached the announced count but distinct ones did
       // not: a duplicate masked a genuine loss. The pre-distinct
@@ -172,9 +181,10 @@ std::vector<PayloadRef> RoundBuffer::TakeRound(uint64_t round) {
       ++stats_.masked_losses;
     }
   }
-  std::vector<PayloadRef> packets = std::move(pending_[round].packets);
+  std::vector<PayloadRef> packets = std::move(p.packets);
   pending_.erase(round);
   next_round_ = round + 1;
+  last_round_packets_ = packets.size();
   ++stats_.rounds_drained;
   stats_.packets_drained += packets.size();
   if (metrics_feed_ != nullptr) {

@@ -176,6 +176,11 @@ class RoundBuffer {
   bool Complete(const PendingRound& p) const {
     return p.marker_seen && p.identities.size() >= p.expected;
   }
+  // The round's state, created on first touch. The head round and the
+  // pipelined one after it start sized to the last drained round, so they
+  // fill without regrowing; a round further ahead starts empty, so one
+  // frame each cannot pin a round's worth of memory across the window.
+  PendingRound& Pending(uint64_t round);
 
   const RoundBufferOptions options_;
   mutable std::mutex mu_;
@@ -183,6 +188,7 @@ class RoundBuffer {
   std::map<uint64_t, PendingRound> pending_;
   uint64_t next_round_ = 0;     // lowest undrained round
   uint64_t newest_round_ = 0;   // highest round ever seen (admission clock)
+  std::size_t last_round_packets_ = 0;  // packets the last drained round held
   RoundBufferStats stats_;
   // Written under mu_ from the draining (session) side only.
   std::unique_ptr<obs::RoundBufferStatsFeed> metrics_feed_;

@@ -1,5 +1,7 @@
 // Flat open-addressing set of uint64 keys — the ingest shards' per-round
 // duplicate-nonce filter and the RoundBuffer's per-round identity set.
+// Both know roughly how many keys a round brings, so they Reserve once
+// instead of rehashing through every doubling.
 //
 // std::unordered_set spends the dedup budget on a pointer chase per probe
 // (node allocation, bucket list walk). Report nonces are plain u64s that
@@ -40,8 +42,7 @@ class U64Set {
       ++count_;
       return true;
     }
-    // Grow at 3/4 load; linear probing degrades fast beyond that.
-    if ((count_ + 1) * 4 > slots_.size() * 3) Grow();
+    Reserve(count_ + 1);
     std::size_t i = static_cast<std::size_t>(Mix64(x)) & mask_;
     while (slots_[i] != 0) {
       if (slots_[i] == x) return false;
@@ -52,11 +53,14 @@ class U64Set {
     return true;
   }
 
-  std::size_t size() const { return count_; }
-
- private:
-  void Grow() {
-    const std::size_t new_cap = slots_.empty() ? 64 : slots_.size() * 2;
+  // Sizes the table so `n` keys fit without growing: at most one rehash,
+  // and none when it already holds that many. Insert grows through it, one
+  // doubling at a time.
+  void Reserve(std::size_t n) {
+    // At most 3/4 full; linear probing degrades fast beyond that.
+    if (n * 4 <= slots_.size() * 3) return;
+    std::size_t new_cap = 64;
+    while (n * 4 > new_cap * 3) new_cap *= 2;
     std::vector<uint64_t> old = std::move(slots_);
     slots_.assign(new_cap, 0);
     mask_ = new_cap - 1;
@@ -68,6 +72,9 @@ class U64Set {
     }
   }
 
+  std::size_t size() const { return count_; }
+
+ private:
   std::vector<uint64_t> slots_;
   std::size_t mask_ = 0;
   std::size_t count_ = 0;  // includes the zero key when present

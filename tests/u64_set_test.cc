@@ -1,11 +1,14 @@
 // U64Set (the ingest shards' flat nonce filter) against std::unordered_set
-// as the semantic reference, across growth, collisions and the zero-key
-// sentinel.
+// as the semantic reference, across growth, Reserve, collisions and the
+// zero-key sentinel. Reserve's sizing is pinned by counting allocations.
+#include <cstddef>
 #include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_count.h"
 #include "util/rng.h"
 #include "util/u64_set.h"
 
@@ -52,6 +55,61 @@ TEST(U64SetTest, SurvivesAdversariallySequentialKeys) {
   for (uint64_t i = 1; i <= 100000; i += 997) EXPECT_TRUE(set.Contains(i));
   EXPECT_FALSE(set.Contains(100001));
   EXPECT_FALSE(set.Contains(0));
+}
+
+TEST(U64SetTest, ReserveRehashKeepsMembership) {
+  U64Set set;
+  EXPECT_TRUE(set.Insert(0));
+  for (uint64_t k = 1; k <= 40; ++k) EXPECT_TRUE(set.Insert(k * 7919));
+  set.Reserve(10000);  // one rehash, well past the 40 keys' table
+  EXPECT_EQ(set.size(), 41u);
+  EXPECT_TRUE(set.Contains(0));
+  EXPECT_FALSE(set.Insert(0));
+  for (uint64_t k = 1; k <= 40; ++k) {
+    EXPECT_TRUE(set.Contains(k * 7919));
+    EXPECT_FALSE(set.Contains(k * 7919 + 1));
+    EXPECT_FALSE(set.Insert(k * 7919));
+  }
+  EXPECT_EQ(set.size(), 41u);
+}
+
+TEST(U64SetTest, ReserveBelowCapacityChangesNothing) {
+  U64Set set;
+  for (uint64_t k = 1; k <= 1000; ++k) set.Insert(k);
+  set.Reserve(3000);
+  const uint64_t before = alloc_count::AllocCalls();
+  for (const std::size_t n : {0, 1, 500, 1000, 2000, 3000}) set.Reserve(n);
+  EXPECT_EQ(alloc_count::AllocCalls(), before);
+  EXPECT_EQ(set.size(), 1000u);
+  for (uint64_t k = 1; k <= 1000; ++k) ASSERT_TRUE(set.Contains(k));
+  EXPECT_FALSE(set.Contains(1001));
+  EXPECT_FALSE(set.Contains(0));
+}
+
+TEST(U64SetTest, InsertsUpToTheReservationMatchReferenceWithoutGrowing) {
+  // Sizes around the first growth points (48 keys fill 64 slots) and a
+  // bd-grr round. Keys repeat and one is 0, so some inserts are no-ops.
+  for (const std::size_t n : {1, 47, 48, 49, 1000, 4686}) {
+    Rng rng(n);
+    std::vector<uint64_t> keys(n);
+    for (uint64_t& key : keys) key = rng.UniformInt(2 * n);
+    keys[n / 2] = 0;
+    std::vector<uint8_t> inserted(n);
+    U64Set set;
+    set.Reserve(n);
+    const uint64_t before = alloc_count::AllocCalls();
+    for (std::size_t i = 0; i < n; ++i) inserted[i] = set.Insert(keys[i]);
+    EXPECT_EQ(alloc_count::AllocCalls(), before) << "n " << n;
+    std::unordered_set<uint64_t> reference;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(inserted[i] != 0, reference.insert(keys[i]).second)
+          << "n " << n << " insert " << i;
+    }
+    EXPECT_EQ(set.size(), reference.size());
+    for (uint64_t key = 0; key < 2 * n; ++key) {
+      ASSERT_EQ(set.Contains(key), reference.count(key) != 0);
+    }
+  }
 }
 
 }  // namespace
