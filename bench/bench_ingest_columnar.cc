@@ -27,9 +27,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "fo/fo_kernels.h"
 #include "fo/frequency_oracle.h"
 #include "fo/wire.h"
+#include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "obs/stats_feed.h"
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
   PrintHeader("Columnar ingest speedup (reports/sec, per-report vs arena)",
               scale);
   std::printf("kernel backend: %s   metrics registry: %s\n\n",
-              fokernels::BackendName(), metrics_on ? "on" : "off");
+              obs::SimdBackendName(), metrics_on ? "on" : "off");
   std::printf(
       "oracle   domain     reports   per-report/s     columnar/s  speedup\n");
 
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   // across oracles at that domain (the "columnar ingest is >= 2x" claim).
   double min_speedup = 0.0;
   std::string line = "[throughput] threads=" + std::to_string(threads) +
-                     " domain=1024 backend=" + fokernels::BackendName() +
+                     " domain=1024 backend=" + obs::SimdBackendName() +
                      " metrics=" + (metrics_on ? "1" : "0");
   char buf[128];
   for (const Cell& cell : cells) {

@@ -12,11 +12,11 @@
 #include "core/factory.h"
 #include "datagen/synthetic.h"
 #include "fo/client.h"
-#include "fo/fo_kernels.h"
 #include "fo/frequency_oracle.h"
 #include "fo/report_arena.h"
 #include "fo/wire.h"
 #include "fo/wire_internal.h"
+#include "obs/build_info.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
@@ -229,7 +229,7 @@ void BM_WireChecksum(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(WireChecksum(data, size));
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
-  state.SetLabel(std::string(scalar ? "scalar" : fokernels::BackendName()) +
+  state.SetLabel(std::string(scalar ? "scalar" : obs::SimdBackendName()) +
                  "/size=" + std::to_string(size) +
                  "/misalign=" + std::to_string(misalign));
 }
@@ -286,6 +286,10 @@ void BM_VerifyChecksums(benchmark::State& state) {
 BENCHMARK(BM_VerifyChecksums)
     ->Args({24, 0})   // GRR packets
     ->Args({24, 1})
+    ->Args({52, 0})   // bd-grr frames (a GRR d=64 packet in a frame)
+    ->Args({52, 1})
+    ->Args({83, 0})   // hostile-oue frames (an OUE d=256 packet in a frame)
+    ->Args({83, 1})
     ->Args({151, 0})  // OUE/SUE packets at d=1024
     ->Args({151, 1});
 
@@ -389,21 +393,23 @@ BENCHMARK(BM_FrameDeliver);
 void BM_FoKernel(benchmark::State& state) {
   // Vectorized fold + estimate over pre-staged arena rows: the pure
   // server-side kernel cost (FoSketch::AddReports + EstimateInto), with
-  // decode and dedup factored out. items/sec is reports/sec.
+  // decode and dedup factored out. items/sec is reports/sec. arg 2 is
+  // epsilon in tenths.
   static const std::vector<std::string> kNames = AllFrequencyOracleNames();
   const std::string name = kNames[static_cast<std::size_t>(state.range(0))];
   const OracleId oracle = OracleIdFromName(name);
   const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const double eps = static_cast<double>(state.range(2)) / 10.0;
   const std::size_t n = 2000;
   Rng rng(22);
   std::vector<std::vector<uint8_t>> packets;
   packets.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     packets.push_back(PerturbToWire(oracle, static_cast<uint32_t>(i % d),
-                                    1.0, d, 0, i + 1, rng));
+                                    eps, d, 0, i + 1, rng));
   }
   ReportArena arena;
-  arena.BeginRound(oracle, 0, {1.0, d});
+  arena.BeginRound(oracle, 0, {eps, d});
   arena.AppendBatch(packets);
   std::vector<uint32_t> indices(arena.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
@@ -413,28 +419,33 @@ void BM_FoKernel(benchmark::State& state) {
   const auto& fo = GetFrequencyOracle(name);
   Histogram est;
   for (auto _ : state) {
-    auto sketch = fo.CreateSketch({1.0, d});
+    auto sketch = fo.CreateSketch({eps, d});
     sketch->AddReports(slice);
     sketch->EstimateInto(&est);
     benchmark::DoNotOptimize(est.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetLabel(name + "/d=" + std::to_string(d) + "/backend=" +
-                 fokernels::BackendName());
+  state.SetLabel(name + "/d=" + std::to_string(d) + "/eps=" +
+                 std::to_string(state.range(2) / 10) + "." +
+                 std::to_string(state.range(2) % 10) +
+                 "/backend=" + obs::SimdBackendName());
 }
 BENCHMARK(BM_FoKernel)
-    ->Args({0, 64})     // GRR
-    ->Args({0, 1024})
-    ->Args({0, 4096})
-    ->Args({1, 64})     // OUE bit columns
-    ->Args({1, 1024})
-    ->Args({1, 4096})
-    ->Args({2, 64})     // OLH support scan
-    ->Args({2, 1024})
-    ->Args({2, 4096})
-    ->Args({4, 64})     // HR column histogram + FWHT
-    ->Args({4, 1024})
-    ->Args({4, 4096});
+    ->Args({0, 64, 10})     // GRR
+    ->Args({0, 1024, 10})
+    ->Args({0, 4096, 10})
+    ->Args({1, 64, 10})     // OUE bit columns
+    ->Args({1, 256, 10})    // hostile-oue's shape
+    ->Args({1, 1024, 10})
+    ->Args({1, 4096, 10})
+    ->Args({3, 256, 10})    // SUE bit columns, hostile-oue's shape
+    ->Args({2, 64, 10})     // OLH support scan, g = 4
+    ->Args({2, 1024, 10})
+    ->Args({2, 1024, 5})    // OLH at g = 3 (not a power of two)
+    ->Args({2, 4096, 10})
+    ->Args({4, 64, 10})     // HR column histogram + FWHT
+    ->Args({4, 1024, 10})
+    ->Args({4, 4096, 10});
 
 void BM_FoOracleThroughput(benchmark::State& state) {
   // Sustained oracle ingestion throughput (users/sec) for every oracle at a

@@ -47,6 +47,21 @@ void EstimateAffine(const uint64_t* counts, std::size_t d, double inv_n,
 void FoldBitColumns(const uint64_t* bit_words, std::size_t words_per_report,
                     const uint32_t* indices, std::size_t count, std::size_t d,
                     uint64_t* counts) {
+  // Whole-word byte-counter fold when compiled in and the CPU has
+  // AVX-512BW; exact integer counts either way, so the dispatch never shows
+  // in results.
+  if (internal::FoldBitColumnsAvx512(bit_words, words_per_report, indices,
+                                     count, d, counts)) {
+    return;
+  }
+  internal::FoldBitColumns4Lane(bit_words, words_per_report, indices, count, d,
+                                counts);
+}
+
+void internal::FoldBitColumns4Lane(const uint64_t* bit_words,
+                                   std::size_t words_per_report,
+                                   const uint32_t* indices, std::size_t count,
+                                   std::size_t d, uint64_t* counts) {
   static const uint64_t kIota[simd::kLanes] = {0, 1, 2, 3};
   const simd::U64x iota = simd::LoadU64(kIota);
   const simd::U64x one = simd::BroadcastU64(1);

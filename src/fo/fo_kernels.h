@@ -4,8 +4,9 @@
 // these four routines, so the bit-identity story lives in exactly one
 // place. Each kernel is specified as a scalar loop (documented below) and
 // implemented over the 4-lane SIMD layer (util/simd/simd.h) with a scalar
-// tail; tests/fo_kernel_test.cc pins the vector path against the scalar
-// reference on both backends.
+// tail; the bit-column fold and the OLH scan also dispatch at runtime to
+// AVX-512 kernels (fo_kernels_avx512.cc). tests/fo_kernel_test.cc pins
+// every path against the scalar reference on both backends.
 //
 // Floating-point contract: EstimateAffine performs, per bin, exactly
 //   est[k] = (double(count[k]) * inv_n - q) / denom
@@ -34,8 +35,10 @@ void EstimateAffine(const uint64_t* counts, std::size_t d, double inv_n,
 // Unary-encoding fold (OUE/SUE): for each staged row r in indices[0..count),
 // add bit k of its packed LSB-first bit vector to counts[k], for k < d.
 // bit_words is the arena's row-major column block, words_per_report u64
-// words per row; padding bits past d are never read. indices == nullptr
-// folds rows 0..count contiguously (the identity ArenaSlice shape).
+// words per row; padding bits past d never reach a count, and no count at
+// or past d is written. indices == nullptr folds rows 0..count
+// contiguously (the identity ArenaSlice shape). Dispatches to the AVX-512
+// byte-counter fold (fo_kernels_avx512.cc) when the CPU has it.
 void FoldBitColumns(const uint64_t* bit_words, std::size_t words_per_report,
                     const uint32_t* indices, std::size_t count, std::size_t d,
                     uint64_t* counts);

@@ -20,6 +20,23 @@ inline constexpr uint64_t kStreamB = 0x27D4EB2F165667C5ULL;
 // olh.cc's HashToBucket stream id.
 inline constexpr uint64_t kOlhHashStream = 0x01F;
 
+// The portable bit-column fold (4 bins per vector step over util/simd):
+// the AVX2/generic path of fokernels::FoldBitColumns, same contract.
+// Exposed so a test can pin it on a host that dispatches past it.
+void FoldBitColumns4Lane(const uint64_t* bit_words,
+                         std::size_t words_per_report,
+                         const uint32_t* indices, std::size_t count,
+                         std::size_t d, uint64_t* counts);
+
+// AVX-512BW bit-column fold on byte counters, same contract as
+// fokernels::FoldBitColumns (bins >= d are never written). Returns false —
+// having touched nothing — when the AVX-512 kernels are not compiled in or
+// the CPU lacks them; the caller then runs FoldBitColumns4Lane.
+bool FoldBitColumnsAvx512(const uint64_t* bit_words,
+                          std::size_t words_per_report,
+                          const uint32_t* indices, std::size_t count,
+                          std::size_t d, uint64_t* counts);
+
 // 8-lane OLH support scan for power-of-two bucket counts (the default
 // epsilon grid always lands there). Returns false — having touched nothing
 // — when the AVX-512 kernels are not compiled in, the CPU lacks them, or g

@@ -56,8 +56,8 @@ class OueSketch final : public FoSketch {
 
   void AddReports(const ArenaSlice& slice) override {
     // Slice rows stream straight from the arena's packed bit columns; the
-    // kernel spreads four bins per step instead of testing one bool at a
-    // time through a rebuilt std::vector<bool>.
+    // kernel folds whole words (AVX-512) or four bins per step instead of
+    // testing one bool at a time through a rebuilt std::vector<bool>.
     fokernels::FoldBitColumns(slice.arena->bit_words(),
                               slice.arena->words_per_report(), slice.indices,
                               slice.count, d_, counts_.data());

@@ -1,6 +1,6 @@
 // Optional AVX-512 widening of the SIMD layer: 8-lane u64 helpers used by
 // the hottest batched kernels (wire-checksum verification, OLH support
-// scan). Unlike util/simd/simd.h this is NOT a portable backend — the
+// scan, OUE/SUE bit fold). Unlike util/simd/simd.h this is NOT a portable backend — the
 // helpers exist only in translation units compiled with the AVX-512 flags
 // (CMake marks those sources and defines LDPIDS_AVX512_COMPILED), and every
 // caller dispatches through a kernel that falls back to the 4-lane path, so
@@ -19,7 +19,7 @@
 namespace ldpids::simd {
 
 // True when the build compiled the AVX-512 translation units AND the
-// running CPU supports AVX-512 F/DQ/VL. Cheap (cached) — kernels call it
+// running CPU supports AVX-512 F/DQ/VL/BW. Cheap (cached) — kernels call it
 // on every dispatch.
 bool Avx512Available();
 

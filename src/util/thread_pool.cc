@@ -93,17 +93,22 @@ void ThreadPool::ParallelFor(std::size_t n, std::size_t max_threads,
     return;
   }
   std::lock_guard<std::mutex> call_lock(call_mu_);
+  // The calling thread takes one lane; workers may claim the rest.
+  const std::size_t slots = std::min({max_threads - 1, workers_.size(), n - 1});
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_fn_ = &fn;
     job_n_ = n;
     cursor_.store(0, std::memory_order_relaxed);
-    // The calling thread takes one lane; workers may claim the rest.
-    slots_ = std::min({max_threads - 1, workers_.size(), n - 1});
+    slots_ = slots;
     error_ = nullptr;
     ++generation_;
   }
-  work_cv_.notify_all();
+  // Wake one worker per free slot, not the whole pool: a woken worker that
+  // finds no slot left costs two context switches and competes for the
+  // CPUs the job's own lanes run on. A worker not yet asleep sees the new
+  // generation before it waits, so no wake-up is lost.
+  for (std::size_t i = 0; i < slots; ++i) work_cv_.notify_one();
   // The caller participates with the nested-call guard set: a task that
   // itself calls ParallelFor (from this thread) must run inline rather than
   // re-enter call_mu_, which this thread already holds. RunChunk never

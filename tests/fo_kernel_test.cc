@@ -10,7 +10,8 @@
 //      equal estimates (EXPECT_EQ on doubles — no tolerance), including
 //      under shard merges and mixed AddUser/AddReports interleavings.
 // The suite runs under both SIMD backends (the CI force-scalar job builds
-// with -DLDPIDS_FORCE_SCALAR=ON), which pins avx2 == generic == scalar.
+// with -DLDPIDS_FORCE_SCALAR=ON), which pins avx2 == generic == scalar; on
+// an AVX-512 host the dispatched AVX-512 kernels are pinned too.
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -22,12 +23,14 @@
 
 #include "fo/client.h"
 #include "fo/fo_kernels.h"
+#include "fo/fo_kernels_internal.h"
 #include "fo/frequency_oracle.h"
 #include "fo/olh.h"
 #include "fo/report_arena.h"
 #include "fo/wire.h"
 #include "util/histogram.h"
 #include "util/rng.h"
+#include "util/simd/avx512.h"
 
 namespace ldpids {
 namespace {
@@ -90,33 +93,109 @@ TEST(FoKernelTest, OlhSupportScanMatchesHashToBucketLoop) {
   }
 }
 
-TEST(FoKernelTest, FoldBitColumnsMatchesPerBitTally) {
+// Packed LSB-first rows for domain d, the padding bits past d zeroed as
+// the arena repack guarantees.
+std::vector<uint64_t> RandomBitRows(std::size_t d, std::size_t rows,
+                                    Rng& rng) {
+  const std::size_t words = (d + 63) / 64;
+  std::vector<uint64_t> bit_words(rows * words);
+  for (auto& w : bit_words) w = rng.NextU64();
+  if (d % 64 != 0) {
+    const uint64_t tail_mask = (uint64_t{1} << (d % 64)) - 1;
+    for (std::size_t r = 0; r < rows; ++r) {
+      bit_words[r * words + words - 1] &= tail_mask;
+    }
+  }
+  return bit_words;
+}
+
+// Per-bit reference: counts start at 2 (the kernel must accumulate), then
+// each listed row adds its bit k to bin k.
+Counts TallyBits(const std::vector<uint64_t>& bit_words, std::size_t d,
+                 const std::vector<uint32_t>& rows) {
+  const std::size_t words = (d + 63) / 64;
+  Counts want(d, 2);
+  for (uint32_t r : rows) {
+    for (std::size_t k = 0; k < d; ++k) {
+      want[k] += (bit_words[r * words + k / 64] >> (k % 64)) & 1;
+    }
+  }
+  return want;
+}
+
+// Pins one bit-column fold (same signature as fokernels::FoldBitColumns)
+// against TallyBits: single-word, tail-word and multi-group domains, an
+// indexed slice with a repeat, the identity slice, and long runs of rows
+// setting the same bins (255, 256, 511 and 1000 hits per bin cross the
+// AVX-512 kernel's byte-counter flush).
+template <typename Fold>
+void ExpectFoldMatchesTally(Fold fold) {
   Rng rng(13);
-  for (std::size_t d : {3u, 64u, 100u, 130u}) {
+  for (std::size_t d :
+       {1u, 3u, 63u, 64u, 65u, 100u, 130u, 256u, 1024u, 1025u, 4097u}) {
     const std::size_t words = (d + 63) / 64;
     const std::size_t rows = 29;
-    std::vector<uint64_t> bit_words(rows * words);
-    for (auto& w : bit_words) w = rng.NextU64();
-    // Zero the padding bits past d, as the arena repack guarantees.
-    if (d % 64 != 0) {
-      const uint64_t tail_mask = (uint64_t{1} << (d % 64)) - 1;
-      for (std::size_t r = 0; r < rows; ++r) {
-        bit_words[r * words + words - 1] &= tail_mask;
-      }
-    }
+    const std::vector<uint64_t> bit_words = RandomBitRows(d, rows, rng);
     // A shuffled subset of rows, with a repeat.
-    std::vector<uint32_t> indices = {5, 0, 17, 28, 3, 5, 11};
-    Counts want(d, 2);
-    for (uint32_t r : indices) {
-      for (std::size_t k = 0; k < d; ++k) {
-        want[k] += (bit_words[r * words + k / 64] >> (k % 64)) & 1;
-      }
-    }
+    const std::vector<uint32_t> indices = {5, 0, 17, 28, 3, 5, 11};
     Counts got(d, 2);
-    fokernels::FoldBitColumns(bit_words.data(), words, indices.data(),
-                              indices.size(), d, got.data());
-    EXPECT_EQ(got, want) << "d=" << d;
+    fold(bit_words.data(), words, indices.data(), indices.size(), d,
+         got.data());
+    EXPECT_EQ(got, TallyBits(bit_words, d, indices)) << "indexed d=" << d;
+
+    std::vector<uint32_t> all(rows);
+    for (std::size_t r = 0; r < rows; ++r) all[r] = static_cast<uint32_t>(r);
+    Counts got_all(d, 2);
+    fold(bit_words.data(), words, nullptr, rows, d, got_all.data());
+    EXPECT_EQ(got_all, TallyBits(bit_words, d, all)) << "identity d=" << d;
   }
+  for (std::size_t d : {65u, 256u, 1025u}) {
+    const std::size_t words = (d + 63) / 64;
+    std::vector<uint64_t> row = RandomBitRows(d, 1, rng);
+    row[0] = ~uint64_t{0};  // bins 0..63 all hit on every row
+    for (std::size_t n : {255u, 256u, 511u, 1000u}) {
+      std::vector<uint64_t> bit_words;
+      for (std::size_t r = 0; r < n; ++r) {
+        bit_words.insert(bit_words.end(), row.begin(), row.end());
+      }
+      std::vector<uint32_t> all(n);
+      for (std::size_t r = 0; r < n; ++r) all[r] = static_cast<uint32_t>(r);
+      const Counts want = TallyBits(bit_words, d, all);
+      ASSERT_EQ(want[0], 2 + n);
+      Counts got(d, 2);
+      fold(bit_words.data(), words, nullptr, n, d, got.data());
+      EXPECT_EQ(got, want) << "identity d=" << d << " rows=" << n;
+      // The same row n times through the index list.
+      const std::vector<uint32_t> same(n, 0);
+      Counts got_same(d, 2);
+      fold(bit_words.data(), words, same.data(), n, d, got_same.data());
+      EXPECT_EQ(got_same, want) << "repeated d=" << d << " rows=" << n;
+    }
+  }
+}
+
+TEST(FoKernelTest, FoldBitColumnsMatchesPerBitTally) {
+  ExpectFoldMatchesTally(fokernels::FoldBitColumns);
+}
+
+// The dispatcher above runs only one path per host, so the two kernels
+// behind it are pinned directly as well: an AVX-512 host still checks the
+// 4-lane loop that AVX2-only and FORCE_SCALAR hosts run.
+TEST(FoKernelTest, FoldBitColumns4LaneMatchesPerBitTally) {
+  ExpectFoldMatchesTally(fokernels::internal::FoldBitColumns4Lane);
+}
+
+TEST(FoKernelTest, FoldBitColumnsAvx512MatchesPerBitTally) {
+  if (!simd::Avx512Available()) {
+    GTEST_SKIP() << "AVX-512 kernels not compiled in or not supported by "
+                    "this CPU";
+  }
+  ExpectFoldMatchesTally([](const uint64_t* bit_words, std::size_t words,
+                            const uint32_t* indices, std::size_t count,
+                            std::size_t d, uint64_t* counts) {
+    ASSERT_TRUE(fokernels::internal::FoldBitColumnsAvx512(
+        bit_words, words, indices, count, d, counts));
+  });
 }
 
 TEST(FoKernelTest, EstimateAffineMatchesScalarFormulaExactly) {

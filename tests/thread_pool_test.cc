@@ -102,6 +102,38 @@ TEST(ThreadPoolTest, MaxThreadsCapIsHonoredAndCorrect) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPoolTest, BackToBackTwoLaneJobsFromTwoCallersRunEachIndexOnce) {
+  // A 2-lane job wakes one worker for its one free slot. Two callers
+  // queue many such jobs back to back on one pool, so a worker often
+  // wakes for a job that is already done or staffed: a lost wake-up would
+  // hang a job, and a stale one could run an index twice.
+  ThreadPool pool(8);
+  constexpr std::size_t kJobs = 2000;
+  constexpr std::size_t kMaxN = 5;
+  std::vector<std::atomic<int>> hits(2 * kJobs * kMaxN);
+  for (auto& h : hits) h.store(0);
+  const auto caller = [&](std::size_t c) {
+    for (std::size_t job = 0; job < kJobs; ++job) {
+      std::atomic<int>* slice = hits.data() + (c * kJobs + job) * kMaxN;
+      const std::size_t n = 2 + job % (kMaxN - 1);  // 2..kMaxN indices
+      pool.ParallelFor(n, 2, [&](std::size_t i) { slice[i].fetch_add(1); });
+    }
+  };
+  std::thread first(caller, 0);
+  std::thread second(caller, 1);
+  first.join();
+  second.join();
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t job = 0; job < kJobs; ++job) {
+      const std::size_t n = 2 + job % (kMaxN - 1);
+      for (std::size_t i = 0; i < kMaxN; ++i) {
+        EXPECT_EQ(hits[(c * kJobs + job) * kMaxN + i].load(), i < n ? 1 : 0)
+            << "caller " << c << " job " << job << " index " << i;
+      }
+    }
+  }
+}
+
 TEST(ThreadPoolTest, RejectsZeroThreads) {
   EXPECT_THROW(ThreadPool(0), std::invalid_argument);
 }

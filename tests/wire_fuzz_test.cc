@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -253,34 +254,41 @@ TEST(ChecksumParityTest, VerifyChecksumsMatchesPerPacketVerdicts) {
 TEST(ChecksumParityTest, UniformSizeRunsMatchPerPacketVerdicts) {
   // A run of >= 8 equal-size spans takes the 8-wide batched kernel when
   // the build and CPU have AVX-512; its verdicts must match the per-span
-  // recompute bit for bit across size classes (sub-block, exact-block and
-  // multi-block inputs, valid and corrupted).
+  // recompute bit for bit. Input lengths 1..96 cover every tail length
+  // 0..31 with 0, 1 and 2 full blocks; 151 and 513 add longer runs. Valid
+  // and corrupted spans mix. Each span is its own exact-size allocation,
+  // so a read past a packet's end is a heap overflow under ASan.
   Rng rng(0x8A7E5);
-  for (const std::size_t len :
-       {5u, 24u, 27u, 35u, 36u, 64u, 151u, 513u}) {
-    std::vector<std::vector<uint8_t>> spans;
-    for (int i = 0; i < 21; ++i) {
-      std::vector<uint8_t> s(len);
-      for (auto& b : s) b = static_cast<uint8_t>(rng.NextU64());
-      PutU32Le(&s, WireChecksum(s.data(), s.size()));
-      if (i % 5 == 2) {
-        s[rng.UniformInt(s.size())] ^=
-            static_cast<uint8_t>(1 + rng.UniformInt(255));
-      }
-      spans.push_back(std::move(s));
-    }
+  std::vector<std::size_t> lens;
+  for (std::size_t input = 1; input <= 96; ++input) lens.push_back(input + 4);
+  lens.push_back(151);
+  lens.push_back(513);
+  for (const std::size_t len : lens) {
+    std::vector<std::unique_ptr<uint8_t[]>> spans;
     std::vector<const uint8_t*> datas;
     std::vector<std::size_t> sizes;
-    for (const auto& s : spans) {
-      datas.push_back(s.data());
-      sizes.push_back(s.size());
+    for (int i = 0; i < 21; ++i) {
+      auto s = std::make_unique<uint8_t[]>(len);
+      for (std::size_t j = 0; j < len; ++j) {
+        s[j] = static_cast<uint8_t>(rng.NextU64());
+      }
+      const uint32_t sum = WireChecksum(s.get(), len - 4);
+      for (std::size_t k = 0; k < 4; ++k) {
+        s[len - 4 + k] = static_cast<uint8_t>(sum >> (8 * k));
+      }
+      if (i % 5 == 2) {
+        s[rng.UniformInt(len)] ^= static_cast<uint8_t>(1 + rng.UniformInt(255));
+      }
+      datas.push_back(s.get());
+      sizes.push_back(len);
+      spans.push_back(std::move(s));
     }
     std::vector<uint8_t> ok(spans.size(), 0xCC);
     VerifyChecksums(datas.data(), sizes.data(), spans.size(), ok.data());
     for (std::size_t i = 0; i < spans.size(); ++i) {
-      const auto& s = spans[i];
-      const bool want = GetU32Le(s.data() + s.size() - 4) ==
-                        WireChecksum(s.data(), s.size() - 4);
+      const uint8_t* s = spans[i].get();
+      const bool want =
+          GetU32Le(s + len - 4) == WireChecksum(s, len - 4);
       EXPECT_EQ(ok[i], want ? 1 : 0) << "len " << len << " span " << i;
     }
   }
