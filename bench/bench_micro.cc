@@ -441,7 +441,9 @@ BENCHMARK(BM_FoKernel)
     ->Args({3, 256, 10})    // SUE bit columns, hostile-oue's shape
     ->Args({2, 64, 10})     // OLH support scan, g = 4
     ->Args({2, 1024, 10})
-    ->Args({2, 1024, 5})    // OLH at g = 3 (not a power of two)
+    ->Args({2, 1024, 20})   // g = 8: the power-of-two mask rule again
+    ->Args({2, 1024, 5})    // g = 3: the divisibility rule
+    ->Args({2, 1024, 30})   // g = 21: the divisibility rule again
     ->Args({2, 4096, 10})
     ->Args({4, 64, 10})     // HR column histogram + FWHT
     ->Args({4, 1024, 10})

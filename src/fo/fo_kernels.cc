@@ -25,8 +25,6 @@ using simd::Mix64V;
 
 }  // namespace
 
-const char* BackendName() { return simd::kBackendName; }
-
 void EstimateAffine(const uint64_t* counts, std::size_t d, double inv_n,
                     double q, double denom, double* est) {
   const simd::F64x inv_v = simd::BroadcastF64(inv_n);
@@ -89,12 +87,20 @@ void internal::FoldBitColumns4Lane(const uint64_t* bit_words,
 void OlhSupportScan(const uint64_t* seeds, const uint64_t* buckets,
                     std::size_t count, std::size_t d, uint64_t g,
                     uint64_t* support_counts) {
-  // 8-lane AVX-512 pass when compiled in, the CPU has it and g is a power
-  // of two; bit-identical, so the dispatch never shows in results.
+  // The AVX-512 scan takes every g, so the 4-lane scan runs only where
+  // AVX-512 is absent (AVX2-only CPUs, FORCE_SCALAR builds). Both count
+  // exact HashToBucket matches, so the dispatch never shows in results.
   if (internal::OlhSupportScanAvx512(seeds, buckets, count, d, g,
                                      support_counts)) {
     return;
   }
+  internal::OlhSupportScan4Lane(seeds, buckets, count, d, g, support_counts);
+}
+
+void internal::OlhSupportScan4Lane(const uint64_t* seeds,
+                                   const uint64_t* buckets, std::size_t count,
+                                   std::size_t d, uint64_t g,
+                                   uint64_t* support_counts) {
   const U64Divisor div(g);
   const bool pow2 = div.magic() == 0;
   const bool add_fixup = div.add_fixup();

@@ -22,10 +22,6 @@
 
 namespace ldpids::fokernels {
 
-// Name of the SIMD backend the kernels were compiled against ("avx2" or
-// "generic"); surfaced by benches so recorded numbers say what ran.
-const char* BackendName();
-
 // est[k] = (double(counts[k]) * inv_n - q) / denom  for k in [0, d).
 // The exact affine estimator shared by all five oracles; only (q, denom)
 // differ per oracle.
@@ -46,9 +42,11 @@ void FoldBitColumns(const uint64_t* bit_words, std::size_t words_per_report,
 // OLH support scan: for each value k in [0, d) and each pending report i in
 // [0, count), add 1 to support_counts[k] when
 //   HashCounter(seeds[i], k, kOlhHashStream) % g == buckets[i].
-// Value-major so the per-k hash constants are loop-invariant; the `% g`
-// uses the exact Granlund–Montgomery recipe (util/fastdiv.h), so every
-// lane computes precisely HashToBucket(seed, k, g).
+// Value-major so the per-k hash constants are loop-invariant. Every g >= 1
+// dispatches to the AVX-512 scan when the CPU has it (exact divisibility
+// test, fo_kernels_internal.h's BucketDivisor); the 4-lane scan uses the
+// exact Granlund–Montgomery `% g` (util/fastdiv.h). Either way every pair
+// compares precisely HashToBucket(seed, k, g).
 void OlhSupportScan(const uint64_t* seeds, const uint64_t* buckets,
                     std::size_t count, std::size_t d, uint64_t g,
                     uint64_t* support_counts);

@@ -110,13 +110,17 @@ void IngestShard::IngestSlice(const ReportArena& arena,
     const uint64_t nonce = nonces[row];
     // Same outcome order as Ingest: a re-delivered nonce is a duplicate
     // even when its payload is out of range, and an out-of-range row does
-    // not burn its nonce.
-    if (seen_.Contains(nonce)) {
+    // not burn its nonce. An in-range row probes once: Insert fails on a
+    // duplicate.
+    if (in_range[row] == 0) {
+      if (seen_.Contains(nonce)) {
+        ++stats_.duplicate;
+      } else {
+        ++stats_.sketch_rejected;
+      }
+    } else if (!seen_.Insert(nonce)) {
       ++stats_.duplicate;
-    } else if (in_range[row] == 0) {
-      ++stats_.sketch_rejected;
     } else {
-      seen_.Insert(nonce);
       if (rejected) accept_scratch_.push_back(row);
       continue;
     }

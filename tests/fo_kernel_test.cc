@@ -39,11 +39,6 @@ constexpr std::size_t kDomain = 100;  // crosses a 64-bit word boundary
 constexpr double kEpsilon = 1.0;
 constexpr uint32_t kRound = 4;
 
-TEST(FoKernelTest, BackendNameIsReported) {
-  const std::string name = fokernels::BackendName();
-  EXPECT_TRUE(name == "avx2" || name == "generic") << name;
-}
-
 TEST(FoKernelTest, FwhtMatchesNaiveHadamardSum) {
   Rng rng(11);
   for (std::size_t n : {1u, 2u, 8u, 64u, 256u}) {
@@ -64,32 +59,110 @@ TEST(FoKernelTest, FwhtMatchesNaiveHadamardSum) {
   }
 }
 
-TEST(FoKernelTest, OlhSupportScanMatchesHashToBucketLoop) {
+// Pins one OLH support scan (same signature as fokernels::OlhSupportScan)
+// against a plain HashToBucket loop: bucket counts on both sides of the
+// power-of-two rule, report counts on both sides of the 8-lane and
+// 64-report steps, and d = 1 and 37, all from nonzero start counts. Every
+// 13th report carries a bucket at or past g, which no hash may match.
+template <typename Scan>
+void ExpectScanMatchesHashToBucket(Scan scan) {
   Rng rng(12);
-  // Epsilons covering power-of-two g (4, 8) and odd g (3, 21).
-  for (double eps : {0.5, 1.0, 2.0, 3.0}) {
-    const uint64_t g = OlhOracle::BucketCount(eps);
-    const std::size_t d = 37;
-    const std::size_t count = 203;  // not a multiple of the lane width
-    std::vector<uint64_t> seeds(count), buckets(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      seeds[i] = rng.NextU64();
-      buckets[i] = rng.UniformInt(g);
-    }
-    Counts want(d, 5);  // nonzero start: the kernel must accumulate
-    for (std::size_t k = 0; k < d; ++k) {
+  for (uint64_t g : {2u, 3u, 4u, 5u, 6u, 8u, 12u, 21u}) {
+    for (std::size_t count :
+         {0u, 1u, 7u, 8u, 63u, 64u, 65u, 203u, 512u, 513u}) {
+      std::vector<uint64_t> seeds(count), buckets(count);
       for (std::size_t i = 0; i < count; ++i) {
-        want[k] += OlhOracle::HashToBucket(seeds[i],
-                                           static_cast<uint32_t>(k), g) ==
-                           buckets[i]
-                       ? 1
-                       : 0;
+        seeds[i] = rng.NextU64();
+        buckets[i] = i % 13 == 5 ? g + rng.UniformInt(3) : rng.UniformInt(g);
+      }
+      for (std::size_t d : {1u, 37u}) {
+        Counts want(d, 5);
+        for (std::size_t k = 0; k < d; ++k) {
+          for (std::size_t i = 0; i < count; ++i) {
+            want[k] += OlhOracle::HashToBucket(
+                           seeds[i], static_cast<uint32_t>(k), g) == buckets[i]
+                           ? 1
+                           : 0;
+          }
+        }
+        Counts got(d, 5);
+        scan(seeds.data(), buckets.data(), count, d, g, got.data());
+        EXPECT_EQ(got, want) << "g=" << g << " count=" << count
+                             << " d=" << d;
       }
     }
-    Counts got(d, 5);
-    fokernels::OlhSupportScan(seeds.data(), buckets.data(), count, d, g,
-                              got.data());
-    EXPECT_EQ(got, want) << "g=" << g;
+  }
+}
+
+TEST(FoKernelTest, OlhSupportScanMatchesHashToBucketLoop) {
+  ExpectScanMatchesHashToBucket(fokernels::OlhSupportScan);
+}
+
+// As with the fold below, both kernels behind the dispatcher are pinned
+// directly, so an AVX-512 host still checks the 4-lane scan.
+TEST(FoKernelTest, OlhSupportScanAvx512MatchesHashToBucketLoop) {
+  if (!simd::Avx512Available()) {
+    GTEST_SKIP() << "AVX-512 kernels not compiled in or not supported by "
+                    "this CPU";
+  }
+  ExpectScanMatchesHashToBucket(
+      [](const uint64_t* seeds, const uint64_t* buckets, std::size_t count,
+         std::size_t d, uint64_t g, uint64_t* counts) {
+        ASSERT_TRUE(fokernels::internal::OlhSupportScanAvx512(
+            seeds, buckets, count, d, g, counts));
+      });
+}
+
+TEST(FoKernelTest, OlhSupportScan4LaneMatchesHashToBucketLoop) {
+  ExpectScanMatchesHashToBucket(fokernels::internal::OlhSupportScan4Lane);
+}
+
+// BucketDivisor::Matches against `h % g == b` on the inputs a hash almost
+// never produces: h < b, h - b wrapping to a multiple of g near 2^64, and
+// b >= g, which must never match.
+TEST(FoKernelTest, BucketDivisorMatchesModuloOnEdgeValues) {
+  constexpr uint64_t kMax = ~uint64_t{0};
+  Rng rng(14);
+  for (uint64_t g : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{4},
+                     uint64_t{5}, uint64_t{6}, uint64_t{7}, uint64_t{12},
+                     uint64_t{21}, uint64_t{1000003}, uint64_t{3} << 40,
+                     uint64_t{1} << 63, (uint64_t{1} << 63) + 1,
+                     uint64_t{3} << 62, kMax}) {
+    const fokernels::internal::BucketDivisor div(g);
+    std::size_t matches = 0;
+    const auto check = [&](uint64_t h, uint64_t b) {
+      const bool want = h % g == b;
+      matches += want ? 1 : 0;
+      EXPECT_EQ(div.Matches(h, b), want) << "g=" << g << " h=" << h
+                                         << " b=" << b;
+    };
+    // Small h and b, so h < b and b >= g both occur for every small g.
+    for (uint64_t h = 0; h < 64; ++h) {
+      for (uint64_t b = 0; b < 32; ++b) check(h, b);
+    }
+    // r = 2^64 - g * floor((2^64 - 1) / g): h = b - r wraps h - b to the
+    // largest multiple of g, so only h >= b rejects it.
+    const uint64_t r = 0 - g * div.limit;
+    for (const uint64_t b : {uint64_t{0}, uint64_t{1}, r, r + 1, g - 1, g,
+                             g + 1, 2 * g, kMax - 1, kMax}) {
+      check(b - r, b);
+      check(b - 1, b);
+      // h - b = g * m without wrapping, including m = limit near 2^64: a
+      // match exactly when b < g.
+      for (const uint64_t m : {uint64_t{0}, uint64_t{1}, uint64_t{2},
+                               div.limit - 1, div.limit}) {
+        check(b + g * m, b);
+        check(b + g * m + 1, b);
+      }
+    }
+    // Hash-like h with buckets on both sides of g.
+    for (int n = 0; n < 2000; ++n) {
+      const uint64_t h = rng.NextU64();
+      check(h, h % g);
+      check(h, (h % g + 1) % g);
+      check(h, g + rng.UniformInt(3));
+    }
+    EXPECT_GT(matches, 0u) << "g=" << g;
   }
 }
 

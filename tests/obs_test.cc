@@ -1,19 +1,24 @@
 // src/obs/ unit tests: counter/gauge/histogram semantics, log2 bucket
 // boundaries, concurrent-increment exactness, snapshot isolation, the
-// stats-struct feeds, and golden exposition output for both exporters.
+// stats-struct feeds, golden exposition output for both exporters, and the
+// SIMD backend name the build info reports.
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/build_info.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "obs/stats_feed.h"
+#include "util/simd/avx512.h"
+#include "util/simd/simd.h"
 
 namespace ldpids::obs {
 namespace {
@@ -280,6 +285,19 @@ TEST(StageTraceTest, StageNamesAreCanonical) {
   EXPECT_STREQ(StageName(Stage::kMerge), "merge");
   EXPECT_STREQ(StageName(Stage::kEstimate), "estimate");
   EXPECT_STREQ(StageName(Stage::kPostProcess), "post_process");
+}
+
+// The name benches, ldpids_build_info and /statusz report must be the
+// kernels that run: on an AVX2 build, avx512 exactly when the dispatched
+// AVX-512 kernels do; on FORCE_SCALAR (and any non-AVX2) build, generic.
+TEST(BuildInfoTest, SimdBackendNameNamesTheKernelsThatRun) {
+  const std::string name = SimdBackendName();
+  if (std::string_view(simd::kBackendName) == "avx2") {
+    EXPECT_EQ(name, simd::Avx512Available() ? "avx512" : "avx2");
+  } else {
+    EXPECT_EQ(name, "generic");
+    EXPECT_FALSE(simd::Avx512Available());
+  }
 }
 
 TEST(StatsFeedTest, FrameFeedAddsDeltas) {

@@ -268,6 +268,39 @@ TEST(IngestShardTest, SketchRejectionDoesNotBurnTheNonce) {
   EXPECT_EQ(shard.Ingest(real), IngestResult::kAccepted);
 }
 
+TEST(IngestShardTest, BatchClassifiesNoncesLikePerPacketIngest) {
+  // One batch: a real report, a forgery with its nonce, a forgery with a
+  // nonce a later real report uses, and that report. The duplicate
+  // outranks the sketch rejection, and the rejected forgery does not burn
+  // nonce 9 -- the same outcomes as four per-packet Ingest calls.
+  const FrequencyOracle& fo = GetFrequencyOracle("OLH");
+  const FoParams params{kEpsilon, kDomain};
+  Rng rng7(HashCounter(23, 7, 0));
+  Rng rng9(HashCounter(23, 9, 0));
+  const std::vector<std::vector<uint8_t>> packets = {
+      PerturbToWire(OracleId::kOlh, 3, kEpsilon, kDomain, 0, 7, rng7),
+      EncodeOlhReport(123, 4000, 0, /*nonce=*/7),
+      EncodeOlhReport(456, 4000, 0, /*nonce=*/9),
+      PerturbToWire(OracleId::kOlh, 5, kEpsilon, kDomain, 0, 9, rng9)};
+  IngestShard shard(fo, params, OracleId::kOlh, 0);
+  for (const auto& packet : packets) shard.Ingest(packet);
+  EXPECT_EQ(shard.stats().accepted, 2u);
+  EXPECT_EQ(shard.stats().duplicate, 1u);
+  EXPECT_EQ(shard.stats().sketch_rejected, 1u);
+  for (const std::size_t shards : {1u, 4u}) {
+    ReportRouter router(fo, params, OracleId::kOlh, 0, shards);
+    router.IngestBatch(packets, 1);
+    IngestStats stats;
+    const auto merged = router.Close(&stats);
+    EXPECT_EQ(stats.accepted, 2u) << "shards=" << shards;
+    EXPECT_EQ(stats.duplicate, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.sketch_rejected, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.total(), 4u) << "shards=" << shards;
+    EXPECT_EQ(merged->num_users(), shard.sketch().num_users());
+    EXPECT_EQ(merged->Estimate(), shard.sketch().Estimate());
+  }
+}
+
 TEST_P(RouterShardingTest, DuplicatedDeliveryNeverChangesTheMergedSketch) {
   // Duplicates colocate with their original (nonce partition), so the
   // deduplicated merge is bit-identical to clean single-shard ingestion at
