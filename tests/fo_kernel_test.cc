@@ -59,11 +59,63 @@ TEST(FoKernelTest, FwhtMatchesNaiveHadamardSum) {
   }
 }
 
+// Mix64 (util/rng.cc) run backwards: every step of the finalizer is a
+// bijection on u64. BucketDivisor(m).q_inv is m's inverse for odd m.
+uint64_t UnMix64(uint64_t z) {
+  const auto unxorshift = [](uint64_t y, int s) {
+    uint64_t x = y;
+    for (int i = s; i < 64; i += s) x ^= y >> i;
+    return x;
+  };
+  z = unxorshift(z, 31);
+  z *= fokernels::internal::BucketDivisor(0x94D049BB133111EBULL).q_inv;
+  z = unxorshift(z, 27);
+  z *= fokernels::internal::BucketDivisor(0xBF58476D1CE4E5B9ULL).q_inv;
+  z = unxorshift(z, 30);
+  return z - 0x9E3779B97F4A7C15ULL;
+}
+
+// A seed whose OLH hash at value k is exactly h. Clients choose their
+// seeds, so a forged report can put any h in front of the scan.
+uint64_t SeedHashingTo(uint64_t h, uint32_t k) {
+  using namespace fokernels::internal;
+  const uint64_t x1 = UnMix64(h) ^ (kOlhHashStream * kMulB + kStreamB);
+  const uint64_t seed = UnMix64(x1) ^ (uint64_t{k} * kGolden + kStreamA);
+  EXPECT_EQ(HashCounter(seed, k, kOlhHashStream), h);
+  return seed;
+}
+
+// Adds scan(seeds, buckets) over d = 1 and 37 to counts starting at 5 and
+// compares with a plain HashToBucket loop.
+template <typename Scan>
+void ExpectScanCounts(Scan scan, const std::vector<uint64_t>& seeds,
+                      const std::vector<uint64_t>& buckets, uint64_t g,
+                      const char* what) {
+  for (std::size_t d : {1u, 37u}) {
+    Counts want(d, 5);
+    for (std::size_t k = 0; k < d; ++k) {
+      for (std::size_t i = 0; i < seeds.size(); ++i) {
+        want[k] += OlhOracle::HashToBucket(seeds[i], static_cast<uint32_t>(k),
+                                           g) == buckets[i]
+                       ? 1
+                       : 0;
+      }
+    }
+    Counts got(d, 5);
+    scan(seeds.data(), buckets.data(), seeds.size(), d, g, got.data());
+    EXPECT_EQ(got, want) << what << " g=" << g << " count=" << seeds.size()
+                         << " d=" << d;
+  }
+}
+
 // Pins one OLH support scan (same signature as fokernels::OlhSupportScan)
 // against a plain HashToBucket loop: bucket counts on both sides of the
 // power-of-two rule, report counts on both sides of the 8-lane and
 // 64-report steps, and d = 1 and 37, all from nonzero start counts. Every
-// 13th report carries a bucket at or past g, which no hash may match.
+// 13th random report carries a bucket at or past g, which no hash may
+// match. Forged seeds put the hash at value 0 where only an exact rule
+// holds: h < b with h - b wrapping to the largest multiple of g, h == b,
+// and b plus the largest multiple of g.
 template <typename Scan>
 void ExpectScanMatchesHashToBucket(Scan scan) {
   Rng rng(12);
@@ -75,22 +127,20 @@ void ExpectScanMatchesHashToBucket(Scan scan) {
         seeds[i] = rng.NextU64();
         buckets[i] = i % 13 == 5 ? g + rng.UniformInt(3) : rng.UniformInt(g);
       }
-      for (std::size_t d : {1u, 37u}) {
-        Counts want(d, 5);
-        for (std::size_t k = 0; k < d; ++k) {
-          for (std::size_t i = 0; i < count; ++i) {
-            want[k] += OlhOracle::HashToBucket(
-                           seeds[i], static_cast<uint32_t>(k), g) == buckets[i]
-                           ? 1
-                           : 0;
-          }
+      ExpectScanCounts(scan, seeds, buckets, g, "random");
+    }
+    const fokernels::internal::BucketDivisor div(g);
+    const uint64_t r = 0 - g * div.limit;  // 2^64 - g * limit
+    std::vector<uint64_t> seeds, buckets;
+    while (seeds.size() < 130) {  // two 64-report steps and a tail
+      for (uint64_t b = 0; b < g + 2; ++b) {
+        for (uint64_t h : {b - r, b, b + g * div.limit}) {
+          seeds.push_back(SeedHashingTo(h, 0));
+          buckets.push_back(b);
         }
-        Counts got(d, 5);
-        scan(seeds.data(), buckets.data(), count, d, g, got.data());
-        EXPECT_EQ(got, want) << "g=" << g << " count=" << count
-                             << " d=" << d;
       }
     }
+    ExpectScanCounts(scan, seeds, buckets, g, "forged");
   }
 }
 
