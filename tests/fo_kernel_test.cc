@@ -197,8 +197,8 @@ TEST(FoKernelTest, BucketDivisorMatchesModuloOnEdgeValues) {
                              g + 1, 2 * g, kMax - 1, kMax}) {
       check(b - r, b);
       check(b - 1, b);
-      // h - b = g * m without wrapping, including m = limit near 2^64: a
-      // match exactly when b < g.
+      // h = b + g * m for m up to limit, so h nears 2^64: a match exactly
+      // when b < g and the sum does not wrap.
       for (const uint64_t m : {uint64_t{0}, uint64_t{1}, uint64_t{2},
                                div.limit - 1, div.limit}) {
         check(b + g * m, b);
