@@ -2,9 +2,10 @@
 // decode-validate-fold loop) against the columnar batch path (ReportArena
 // staging + vectorized FoSketch::AddReports) on identical packet rounds.
 //
-// Both paths run through ReportRouter with a single shard so the numbers
-// compare exactly the same work: wire decode, round validation, nonce
-// dedup, sketch folding and the close-time merge. The only difference is
+// The columnar path runs through ReportRouter with a single shard; the
+// per-report baseline is a local loop (IngestPerReport) that does the
+// same work one packet at a time: wire decode, round validation, nonce
+// dedup and sketch folding, then the estimate. The only difference is
 // per-packet vs columnar execution. For each oracle and domain size
 // d in {64, 1024, 4096} the table reports reports/sec for both paths and
 // the columnar speedup; the "[throughput]" line records the d=1024 row per
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,7 @@
 #include "util/histogram.h"
 #include "util/csv_writer.h"
 #include "util/flags.h"
+#include "util/u64_set.h"
 
 namespace {
 
@@ -74,18 +77,46 @@ struct Cell {
   }
 };
 
+// The per-report baseline: decode, validate and fold one packet at a
+// time, in the batch path's classification order (malformed, wrong
+// oracle, wrong timestamp, duplicate, sketch-rejected). A duplicate
+// outranks a sketch rejection, and a nonce is burned only on acceptance.
+void IngestPerReport(const std::vector<std::vector<uint8_t>>& packets,
+                     OracleId oracle, FoSketch* sketch, U64Set* seen,
+                     IngestStats* stats) {
+  DecodedReport report;  // reused across packets; no per-packet alloc
+  for (const std::vector<uint8_t>& packet : packets) {
+    if (TryDecodeReport(packet, g_domain, &report) != WireError::kOk) {
+      ++stats->malformed;
+    } else if (report.oracle != oracle) {
+      ++stats->wrong_oracle;
+    } else if (report.timestamp != 0) {
+      ++stats->wrong_timestamp;
+    } else if (seen->Contains(report.nonce)) {
+      ++stats->duplicate;
+    } else if (!sketch->AddReport(report)) {
+      ++stats->sketch_rejected;
+    } else {
+      seen->Insert(report.nonce);
+      ++stats->accepted;
+    }
+  }
+}
+
 // Times one ingest strategy over `reps` runs of the same packets; the best
-// rep is reported (noise only shrinks the rate). The timed window runs
-// through EstimateInto: sketches may defer folding work until the estimate
-// (OLH resolves pending reports lazily), so stopping at Close would credit
-// whichever path happened to defer more. Every round of the real serving
-// path ends in an estimate anyway. Exits on any drop: every produced
-// packet must be accepted, so both paths demonstrably do the full decode +
-// validation + fold work.
-template <typename RunFn>
+// rep is reported (noise only shrinks the rate). Each rep's round state
+// (router or sketch + nonce set) is built outside the timed window. The
+// window runs through EstimateInto: sketches may defer folding work until
+// the estimate (OLH resolves pending reports lazily), so stopping at the
+// fold would credit whichever path happened to defer more. Every round of
+// the real serving path ends in an estimate anyway. Exits on any drop:
+// every produced packet must be accepted, so both paths demonstrably do
+// the full decode + validation + fold work.
 double BestRate(const FrequencyOracle& fo, OracleId oracle,
-                std::size_t num_reports, int reps,
-                obs::MetricsRegistry* metrics, const RunFn& run) {
+                const std::vector<std::vector<uint8_t>>& packets,
+                bool columnar, std::size_t threads, int reps,
+                obs::MetricsRegistry* metrics) {
+  const FoParams params{kEpsilon, g_domain};
   double best = 0.0;
   Histogram estimate;
   // Feeds and stage sink register once, outside the timed window; with
@@ -101,13 +132,21 @@ double BestRate(const FrequencyOracle& fo, OracleId oracle,
         metrics, obs::Labels{{"session", OracleIdName(oracle)}});
   }
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
-    ReportRouter router(fo, {kEpsilon, g_domain}, oracle, 0,
-                        /*num_shards=*/1);
+    ReportRouter router(fo, params, oracle, 0, /*num_shards=*/1);
     if (metrics != nullptr) router.EnableStageTiming();
-    const auto start = std::chrono::steady_clock::now();
-    run(router);
+    // The per-report baseline's round state; the columnar path's lives in
+    // the router.
+    std::unique_ptr<FoSketch> sketch =
+        columnar ? nullptr : fo.CreateSketch(params);
+    U64Set seen;
     IngestStats stats;
-    auto sketch = router.Close(&stats);
+    const auto start = std::chrono::steady_clock::now();
+    if (columnar) {
+      router.IngestBatch(packets, threads);
+      sketch = router.Close(&stats);
+    } else {
+      IngestPerReport(packets, oracle, sketch.get(), &seen, &stats);
+    }
     sketch->EstimateInto(&estimate);
     if (stages != nullptr) {
       // Histograms only, so each event needs just its duration.
@@ -119,13 +158,13 @@ double BestRate(const FrequencyOracle& fo, OracleId oracle,
       feed->Add(stats);
     }
     const double wall = Seconds(start);
-    if (stats.accepted != num_reports || stats.total() != num_reports) {
+    if (stats.accepted != packets.size() || stats.total() != packets.size()) {
       std::fprintf(stderr, "ingest dropped packets: %s\n",
                    stats.ToString().c_str());
       std::exit(1);
     }
     if (wall > 0.0) {
-      best = std::max(best, static_cast<double>(num_reports) / wall);
+      best = std::max(best, static_cast<double>(packets.size()) / wall);
     }
   }
   return best;
@@ -147,14 +186,10 @@ Cell BenchOracle(OracleId oracle, std::size_t num_reports, int reps,
   cell.oracle = OracleIdName(oracle);
   cell.domain = g_domain;
   cell.reports = num_reports;
-  cell.per_report_rps = BestRate(
-      fo, oracle, num_reports, reps, metrics, [&](ReportRouter& router) {
-        for (const auto& packet : packets) router.Ingest(packet);
-      });
-  cell.columnar_rps = BestRate(
-      fo, oracle, num_reports, reps, metrics, [&](ReportRouter& router) {
-        router.IngestBatch(packets, threads);
-      });
+  cell.per_report_rps = BestRate(fo, oracle, packets, /*columnar=*/false,
+                                 threads, reps, metrics);
+  cell.columnar_rps = BestRate(fo, oracle, packets, /*columnar=*/true,
+                               threads, reps, metrics);
   return cell;
 }
 

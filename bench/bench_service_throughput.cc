@@ -1,15 +1,8 @@
 // Serving-layer throughput: wire-report ingestion rate (reports/sec) as a
-// function of shard and thread counts, plus end-to-end multi-session
-// serving via StreamServer.
-//
-// Two sections:
-//   1. Raw sharded ingestion — one pre-produced round of wire packets per
-//      oracle is pushed through ReportRouter::IngestBatch at several
-//      (shards x threads) configurations; reports/sec covers decode,
-//      validation, sketch folding and the final shard merge.
-//   2. End-to-end serving — a StreamServer advances concurrent mechanism
-//      sessions (clients -> packets -> sharded ingest -> w-event release),
-//      measuring releases/sec and reports/sec of the whole path.
+// function of shard and thread counts. One pre-produced round of wire
+// packets per oracle is pushed through ReportRouter::IngestBatch at
+// several (shards x threads) configurations; reports/sec covers decode,
+// validation, sketch folding and the final shard merge.
 //
 // Flags: --scale (population multiplier), --reps (timing repetitions; best
 // rep is reported), --threads, --fo, --csv, --help. The "[throughput]"
@@ -24,14 +17,11 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/factory.h"
-#include "core/mechanism.h"
 #include "fo/frequency_oracle.h"
 #include "fo/wire.h"
 #include "service/client_fleet.h"
 #include "service/ingest.h"
 #include "service/session.h"
-#include "service/stream_server.h"
 #include "util/csv_writer.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"
@@ -42,11 +32,8 @@ using namespace ldpids;
 using namespace ldpids::bench;
 using service::ClientFleet;
 using service::IngestStats;
-using service::MechanismSession;
 using service::ReportRouter;
 using service::RoundRequest;
-using service::SessionOptions;
-using service::StreamServer;
 
 // --domain flag (default 64, the historical shape); d=1024 is the columnar
 // ingest acceptance configuration recorded in BENCH_ingest_columnar.json.
@@ -110,54 +97,13 @@ IngestCell BenchIngest(OracleId oracle, std::size_t num_reports,
   return cell;
 }
 
-struct ServeResult {
-  uint64_t releases = 0;
-  IngestStats ingest;  // summed over sessions via IngestStats::operator+=
-  double wall_s = 0.0;
-};
-
-// N concurrent sessions advanced over T timestamps.
-ServeResult BenchServe(const std::vector<std::string>& mechanisms,
-                       uint64_t users_per_stream, std::size_t timestamps,
-                       std::size_t shards, std::size_t threads) {
-  StreamServer server(threads);
-  std::vector<std::unique_ptr<ClientFleet>> fleets;
-  for (std::size_t i = 0; i < mechanisms.size(); ++i) {
-    fleets.push_back(
-        std::make_unique<ClientFleet>(users_per_stream, TruthValue, 41 + i));
-    MechanismConfig config;
-    config.epsilon = kEpsilon;
-    config.window = 8;
-    config.fo = "GRR";
-    config.seed = 17 + i;
-    SessionOptions options;
-    options.num_shards = shards;
-    options.num_threads = threads;
-    server.AddSession(
-        mechanisms[i],
-        std::make_unique<MechanismSession>(
-            CreateMechanism(mechanisms[i], config, users_per_stream),
-            g_domain, options, fleets[i]->Transport(threads)));
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < timestamps; ++t) server.AdvanceAll();
-  ServeResult result;
-  result.wall_s = Seconds(start);
-  result.releases = mechanisms.size() * timestamps;
-  for (std::size_t i = 0; i < server.num_sessions(); ++i) {
-    result.ingest += server.session(i).stats();
-  }
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   if (HandleHelp(flags,
                  "bench_service_throughput — online serving layer: sharded "
-                 "wire ingestion and multi-session serving rates")) {
+                 "wire ingestion rates")) {
     return 0;
   }
   const double scale = BenchScale(flags);
@@ -169,7 +115,6 @@ int main(int argc, char** argv) {
 
   PrintHeader("Service throughput (reports/sec)", scale);
 
-  // --- section 1: raw sharded ingestion ---
   const std::size_t num_reports = ScaledUsers(scale, 400000);
   std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
   std::vector<IngestCell> cells;
@@ -199,33 +144,6 @@ int main(int argc, char** argv) {
         adaptive.num_shards(), HardwareThreads());
   }
 
-  // --- section 2: end-to-end multi-session serving ---
-  const std::vector<std::string> mechanisms = {"LBU", "LBA", "LPU", "LPA"};
-  const uint64_t users_per_stream =
-      std::max<uint64_t>(400, ScaledUsers(scale, 50000));
-  const std::size_t timestamps = std::max<std::size_t>(8, ScaledLength(scale, 64));
-  const std::size_t serve_shards = std::min<std::size_t>(4, shard_counts.back());
-  const ServeResult serve = BenchServe(mechanisms, users_per_stream,
-                                       timestamps, serve_shards, threads);
-  std::printf(
-      "\nend-to-end: %zu sessions x %zu timestamps, %llu users/stream, "
-      "%zu shards\n",
-      mechanisms.size(), timestamps,
-      static_cast<unsigned long long>(users_per_stream), serve_shards);
-  std::printf("  releases: %llu (%.1f/sec)   ingested reports: %llu "
-              "(%.0f/sec)\n",
-              static_cast<unsigned long long>(serve.releases),
-              serve.wall_s > 0.0
-                  ? static_cast<double>(serve.releases) / serve.wall_s
-                  : 0.0,
-              static_cast<unsigned long long>(serve.ingest.accepted),
-              serve.wall_s > 0.0
-                  ? static_cast<double>(serve.ingest.accepted) / serve.wall_s
-                  : 0.0);
-  std::printf("  session ingest totals: %s (%llu packets)\n",
-              serve.ingest.ToString().c_str(),
-              static_cast<unsigned long long>(serve.ingest.total()));
-
   if (!csv_path.empty()) {
     CsvWriter csv(csv_path,
                   {"oracle", "shards", "threads", "reports", "reports_per_s"});
@@ -245,12 +163,8 @@ int main(int argc, char** argv) {
       });
   std::printf(
       "\n[throughput] threads=%zu shards=%zu domain=%zu oracle=%s reports=%llu "
-      "reports_per_s=%.0f serve_reports_per_s=%.0f wall_s=%.3f\n",
+      "reports_per_s=%.0f\n",
       threads, best->shards, g_domain, best->oracle.c_str(),
-      static_cast<unsigned long long>(best->reports), best->reports_per_s,
-      serve.wall_s > 0.0
-          ? static_cast<double>(serve.ingest.accepted) / serve.wall_s
-          : 0.0,
-      serve.wall_s);
+      static_cast<unsigned long long>(best->reports), best->reports_per_s);
   return 0;
 }

@@ -1,11 +1,8 @@
 // Columnar staging of one round's wire reports — the struct-of-arrays
 // counterpart of per-packet TryDecodeReport.
 //
-// The serving path used to decode, validate and fold one packet at a time
-// (IngestShard::Ingest -> FoSketch::AddReport), re-reading the envelope
-// header once for routing (PeekWireNonce) and once for ingest. A
-// ReportArena instead batch-decodes a whole (session, round)'s packets
-// exactly once into contiguous columns:
+// A ReportArena batch-decodes a whole (session, round)'s packets exactly
+// once into contiguous columns:
 //
 //   nonces[]       u64  routing/dedup key, carried from the envelope
 //   values[]       u32  GRR value index
@@ -22,11 +19,11 @@
 // once, then every downstream stage (shard routing, duplicate rejection,
 // vectorized sketch folds — FoSketch::AddReports) streams plain arrays.
 //
-// Classification mirrors IngestShard exactly and in the same order: a
-// packet failing envelope or claimed-oracle payload validation is
-// `malformed` (with a per-WireError breakdown), then a valid packet for
-// another oracle is `wrong_oracle`, then a wrong-round packet is
-// `wrong_timestamp`; only the survivors get a row. Duplicate and
+// Classification runs in a fixed order: a packet failing envelope or
+// claimed-oracle payload validation is `malformed` (with a per-WireError
+// breakdown), then a valid packet for another oracle is `wrong_oracle`,
+// then a wrong-round packet is `wrong_timestamp`; only the survivors get
+// a row. Duplicate and
 // sketch-rejected classification is deliberately NOT done here — it is
 // order-dependent state owned by the ingest shards (a nonce is burned only
 // on acceptance), which is why rows carry the in_range flag instead.

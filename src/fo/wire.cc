@@ -72,21 +72,6 @@ std::vector<uint8_t> BuildEnvelope(OracleId oracle, uint32_t timestamp,
   return out;
 }
 
-// Shared by the throwing wrappers.
-[[noreturn]] void ThrowWire(WireError error) {
-  throw std::runtime_error(std::string("wire: ") + WireErrorName(error));
-}
-
-// Legacy alias kept for the envelope-based code below; the view itself is
-// public now (WireEnvelopeView) so the batch staging path (report_arena)
-// decodes headers through exactly the same validation.
-using EnvelopeView = WireEnvelopeView;
-
-WireError ViewEnvelope(const uint8_t* data, std::size_t size,
-                       EnvelopeView* out) {
-  return ViewWireEnvelope(data, size, out);
-}
-
 WireError BitVectorPayloadFromBytes(const uint8_t* payload, std::size_t size,
                                     std::size_t domain,
                                     BitVectorWireReport* out) {
@@ -99,10 +84,6 @@ WireError BitVectorPayloadFromBytes(const uint8_t* payload, std::size_t size,
   }
   return WireError::kOk;
 }
-
-}  // namespace
-
-namespace {
 
 // Structural half of envelope validation: everything before the checksum,
 // in the fixed classification order size -> magic -> version -> oracle ->
@@ -227,7 +208,6 @@ const char* WireErrorName(WireError error) {
     case WireError::kUnknownOracle: return "unknown oracle id";
     case WireError::kLengthMismatch: return "length mismatch";
     case WireError::kChecksumMismatch: return "checksum mismatch";
-    case WireError::kWrongOracle: return "payload oracle mismatch";
     case WireError::kPayloadSize: return "payload size mismatch";
     case WireError::kValueOutOfDomain: return "value outside domain";
   }
@@ -383,60 +363,12 @@ bool PeekWireNonce(const uint8_t* data, std::size_t size, uint64_t* nonce) {
   return true;
 }
 
-WireError TryDecodeEnvelope(const uint8_t* data, std::size_t size,
-                            WireEnvelope* out) {
-  EnvelopeView view;
-  const WireError err = ViewEnvelope(data, size, &view);
-  if (err != WireError::kOk) return err;
-  out->oracle = view.oracle;
-  out->timestamp = view.timestamp;
-  out->nonce = view.nonce;
-  out->payload.assign(view.payload, view.payload + view.payload_size);
-  return WireError::kOk;
-}
-
-WireError TryDecodeEnvelope(const std::vector<uint8_t>& packet,
-                            WireEnvelope* out) {
-  return TryDecodeEnvelope(packet.data(), packet.size(), out);
-}
-
-WireError TryDecodeGrrPayload(const WireEnvelope& envelope,
-                              std::size_t domain, GrrWireReport* out) {
-  if (envelope.oracle != OracleId::kGrr) return WireError::kWrongOracle;
-  return GrrPayloadFromBytes(envelope.payload.data(),
-                             envelope.payload.size(), domain, out);
-}
-
-WireError TryDecodeBitVectorPayload(const WireEnvelope& envelope,
-                                    std::size_t domain,
-                                    BitVectorWireReport* out) {
-  if (envelope.oracle != OracleId::kOue &&
-      envelope.oracle != OracleId::kSue) {
-    return WireError::kWrongOracle;
-  }
-  return BitVectorPayloadFromBytes(envelope.payload.data(),
-                                   envelope.payload.size(), domain, out);
-}
-
-WireError TryDecodeOlhPayload(const WireEnvelope& envelope,
-                              OlhWireReport* out) {
-  if (envelope.oracle != OracleId::kOlh) return WireError::kWrongOracle;
-  return OlhPayloadFromBytes(envelope.payload.data(),
-                             envelope.payload.size(), out);
-}
-
-WireError TryDecodeHrPayload(const WireEnvelope& envelope, HrWireReport* out) {
-  if (envelope.oracle != OracleId::kHr) return WireError::kWrongOracle;
-  return HrPayloadFromBytes(envelope.payload.data(), envelope.payload.size(),
-                            out);
-}
-
 WireError TryDecodeReport(const uint8_t* data, std::size_t size,
                           std::size_t domain, DecodedReport* out) {
   // Hot path: validate through a zero-copy view — no payload
   // materialization, and with a reused DecodedReport no allocation at all.
-  EnvelopeView view;
-  const WireError err = ViewEnvelope(data, size, &view);
+  WireEnvelopeView view;
+  const WireError err = ViewWireEnvelope(data, size, &view);
   if (err != WireError::kOk) return err;
   out->oracle = view.oracle;
   out->timestamp = view.timestamp;
@@ -460,43 +392,6 @@ WireError TryDecodeReport(const uint8_t* data, std::size_t size,
 WireError TryDecodeReport(const std::vector<uint8_t>& packet,
                           std::size_t domain, DecodedReport* out) {
   return TryDecodeReport(packet.data(), packet.size(), domain, out);
-}
-
-WireEnvelope DecodeEnvelope(const std::vector<uint8_t>& packet) {
-  WireEnvelope env;
-  const WireError err = TryDecodeEnvelope(packet, &env);
-  if (err != WireError::kOk) ThrowWire(err);
-  return env;
-}
-
-GrrWireReport DecodeGrrPayload(const WireEnvelope& envelope,
-                               std::size_t domain) {
-  GrrWireReport out;
-  const WireError err = TryDecodeGrrPayload(envelope, domain, &out);
-  if (err != WireError::kOk) ThrowWire(err);
-  return out;
-}
-
-BitVectorWireReport DecodeBitVectorPayload(const WireEnvelope& envelope,
-                                           std::size_t domain) {
-  BitVectorWireReport out;
-  const WireError err = TryDecodeBitVectorPayload(envelope, domain, &out);
-  if (err != WireError::kOk) ThrowWire(err);
-  return out;
-}
-
-OlhWireReport DecodeOlhPayload(const WireEnvelope& envelope) {
-  OlhWireReport out;
-  const WireError err = TryDecodeOlhPayload(envelope, &out);
-  if (err != WireError::kOk) ThrowWire(err);
-  return out;
-}
-
-HrWireReport DecodeHrPayload(const WireEnvelope& envelope) {
-  HrWireReport out;
-  const WireError err = TryDecodeHrPayload(envelope, &out);
-  if (err != WireError::kOk) ThrowWire(err);
-  return out;
 }
 
 std::size_t EncodedReportSize(OracleId oracle, std::size_t domain) {

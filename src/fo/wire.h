@@ -27,15 +27,12 @@
 //   OLH  — 8-byte hash seed + 4-byte bucket index;
 //   HR   — Hadamard column index (4 bytes).
 //
-// Decoding comes in two flavours:
-//
-//   * `TryDecode*` — validates magic, version, length, checksum and payload
-//     shape and returns a typed `WireError` instead of throwing. This is
-//     the serving hot path (src/service/): a busy ingest loop must never
-//     pay exception machinery for routine corruption, and a server must
-//     never crash on a malformed client packet.
-//   * `Decode*` — thin wrappers that throw std::runtime_error carrying the
-//     same reason, for callers where a bad packet is exceptional.
+// Decoding validates magic, version, length, checksum and payload shape
+// and returns a typed `WireError`; it never throws on packet content. A
+// busy ingest loop must never pay exception machinery for routine
+// corruption, and a server must never crash on a malformed client packet.
+// The serving path decodes whole rounds through ReportArena
+// (fo/report_arena.h); `TryDecodeReport` decodes one packet the same way.
 #ifndef LDPIDS_FO_WIRE_H_
 #define LDPIDS_FO_WIRE_H_
 
@@ -74,14 +71,13 @@ enum class WireError : uint8_t {
   kUnknownOracle,      // oracle id outside [kGrr, kHr]
   kLengthMismatch,     // declared payload length != actual
   kChecksumMismatch,
-  kWrongOracle,        // payload decoder for a different oracle
   kPayloadSize,        // payload length wrong for the oracle/domain
   kValueOutOfDomain,   // decoded value does not fit the domain
 };
 
 // Number of WireError enumerators (for per-reason counters indexed by the
 // enum value; kOk is index 0).
-inline constexpr std::size_t kWireErrorCount = 10;
+inline constexpr std::size_t kWireErrorCount = 9;
 
 // Human-readable reason, for logs and rejection reports.
 const char* WireErrorName(WireError error);
@@ -99,15 +95,6 @@ struct OlhWireReport {
 };
 struct HrWireReport {
   uint32_t column = 0;
-};
-
-// A decoded envelope: which oracle, which timestamp and reporter, raw
-// payload bytes.
-struct WireEnvelope {
-  OracleId oracle = OracleId::kGrr;
-  uint32_t timestamp = 0;
-  uint64_t nonce = 0;
-  std::vector<uint8_t> payload;
 };
 
 // A fully decoded report, ready for server-side folding
@@ -157,9 +144,9 @@ std::vector<uint8_t> EncodeHrReport(uint32_t column, uint32_t timestamp,
 
 // Reads the user nonce out of an encoded report without validating or
 // decoding the rest (only the magic/version prefix and the length are
-// checked). Lets the report router pick a shard for a packet before paying
-// for the full decode; returns false for anything too mangled to carry a
-// nonce — such packets are rejected downstream wherever they land.
+// checked). RoundBuffer keys a packet's identity on it before any decode;
+// returns false for anything too mangled to carry a nonce — such packets
+// are rejected downstream by the full decode.
 bool PeekWireNonce(const uint8_t* data, std::size_t size, uint64_t* nonce);
 
 // --- zero-copy decoding (batch staging path) ---
@@ -189,9 +176,8 @@ WireError ViewWireEnvelopePrechecked(const uint8_t* data, std::size_t size,
                                      bool checksum_ok,
                                      WireEnvelopeView* out);
 
-// Payload decoders over raw bytes, shared by the envelope-based Try* API
-// and the batch staging path. Validation and outputs are identical to the
-// corresponding TryDecode*Payload.
+// Payload decoders over raw bytes, shared by TryDecodeReport and the batch
+// staging path, so both validate payloads identically.
 WireError GrrPayloadFromBytes(const uint8_t* payload, std::size_t size,
                               std::size_t domain, GrrWireReport* out);
 WireError OlhPayloadFromBytes(const uint8_t* payload, std::size_t size,
@@ -206,41 +192,15 @@ bool BitVectorPayloadSizeOk(std::size_t size, std::size_t domain);
 // Bytes of one encoded GRR value for `domain` (1, 2 or 4).
 std::size_t GrrWireValueBytes(std::size_t domain);
 
-// --- non-throwing decoding (serving hot path) ---
-// Each validates fully and writes `*out` only on kOk; on error the output
-// is left in an unspecified but valid state.
-WireError TryDecodeEnvelope(const uint8_t* data, std::size_t size,
-                            WireEnvelope* out);
-WireError TryDecodeEnvelope(const std::vector<uint8_t>& packet,
-                            WireEnvelope* out);
-WireError TryDecodeGrrPayload(const WireEnvelope& envelope,
-                              std::size_t domain, GrrWireReport* out);
-WireError TryDecodeBitVectorPayload(const WireEnvelope& envelope,
-                                    std::size_t domain,
-                                    BitVectorWireReport* out);
-WireError TryDecodeOlhPayload(const WireEnvelope& envelope,
-                              OlhWireReport* out);
-WireError TryDecodeHrPayload(const WireEnvelope& envelope, HrWireReport* out);
-
+// --- one-packet decoding ---
 // One-shot envelope + payload decode of whatever oracle the packet claims,
-// validated against `domain`. The workhorse of service::IngestShard.
+// validated against `domain`. Writes `*out` fully only on kOk; on error
+// it is left in an unspecified but valid state. The per-packet reference
+// that ReportArena's batch decode is tested against.
 WireError TryDecodeReport(const uint8_t* data, std::size_t size,
                           std::size_t domain, DecodedReport* out);
 WireError TryDecodeReport(const std::vector<uint8_t>& packet,
                           std::size_t domain, DecodedReport* out);
-
-// --- throwing decoding ---
-// Parses and validates the envelope; throws std::runtime_error with the
-// WireErrorName reason on any corruption.
-WireEnvelope DecodeEnvelope(const std::vector<uint8_t>& packet);
-
-// Payload decoders; `domain` is needed to size GRR values and bit vectors.
-GrrWireReport DecodeGrrPayload(const WireEnvelope& envelope,
-                               std::size_t domain);
-BitVectorWireReport DecodeBitVectorPayload(const WireEnvelope& envelope,
-                                           std::size_t domain);
-OlhWireReport DecodeOlhPayload(const WireEnvelope& envelope);
-HrWireReport DecodeHrPayload(const WireEnvelope& envelope);
 
 // Size in bytes of an encoded report for capacity planning.
 std::size_t EncodedReportSize(OracleId oracle, std::size_t domain);

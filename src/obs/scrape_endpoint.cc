@@ -161,9 +161,10 @@ HttpResponse ScrapeEndpoint::ServeStatusz() {
     rates_.Observe(snap, now);
     for (Row& row : rows) {
       row.rounds_per_s = rates_.RatePerSec("ldpids_session_rounds_total",
-                                           "session", row.session);
-      row.reports_per_s = rates_.RatePerSec("ldpids_ingest_reports_total",
-                                            "session", row.session);
+                                           {{"session", row.session}});
+      row.reports_per_s = rates_.RatePerSec(
+          "ldpids_ingest_reports_total",
+          {{"session", row.session}, {"result", "accepted"}});
     }
   }
   for (const StallFinding& s : report.stalls) {

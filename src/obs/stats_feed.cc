@@ -211,16 +211,4 @@ void IngestStatsFeed::Add(const service::IngestStats& delta) {
   sketch_rejected_->Add(delta.sketch_rejected);
 }
 
-void IngestStatsFeed::Publish(const service::IngestStats& current) {
-  service::IngestStats delta = current;
-  delta.accepted -= last_.accepted;
-  delta.malformed -= last_.malformed;
-  delta.wrong_oracle -= last_.wrong_oracle;
-  delta.wrong_timestamp -= last_.wrong_timestamp;
-  delta.duplicate -= last_.duplicate;
-  delta.sketch_rejected -= last_.sketch_rejected;
-  Add(delta);
-  last_ = current;
-}
-
 }  // namespace ldpids::obs

@@ -15,8 +15,8 @@
 //   Add(delta)        — the caller hands a fresh delta (e.g. one round's
 //                       IngestStats); counters advance by it.
 //
-// Two feeds also take cumulative state, for components that only keep a
-// running total (RoundBuffer, StreamServer's fleet rollup):
+// The RoundBuffer feed also takes cumulative state, because RoundBuffer
+// keeps only a running total:
 //
 //   Publish(current)  — the caller hands the component's cumulative
 //                       struct; the feed diffs it against the last
@@ -132,13 +132,14 @@ class SketchMergeStatsFeed {
   Counter* missing_;
 };
 
-// IngestStats -> ldpids_ingest_reports_total{result=<IngestResultName>}.
+// IngestStats -> ldpids_ingest_reports_total{result=...}, one series per
+// IngestStats field: accepted, malformed, wrong_oracle, wrong_timestamp,
+// duplicate, sketch_rejected.
 class IngestStatsFeed {
  public:
   IngestStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
 
   void Add(const service::IngestStats& delta);
-  void Publish(const service::IngestStats& current);
 
  private:
   Counter* accepted_;
@@ -147,7 +148,6 @@ class IngestStatsFeed {
   Counter* wrong_timestamp_;
   Counter* duplicate_;
   Counter* sketch_rejected_;
-  service::IngestStats last_;
 };
 
 }  // namespace ldpids::obs

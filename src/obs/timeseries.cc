@@ -59,21 +59,15 @@ void TimeseriesTracker::Observe(const MetricsSnapshot& snap, uint64_t t_ns) {
 }
 
 double TimeseriesTracker::RatePerSec(const std::string& name,
-                                     const std::string& label,
-                                     const std::string& value) const {
+                                     const Labels& labels) const {
   for (const auto& [key, s] : series_) {
     if (s.name != name) continue;
-    if (!label.empty()) {
-      bool match = false;
-      for (const auto& [k, v] : s.labels) {
-        if (k == label && v == value) {
-          match = true;
-          break;
-        }
-      }
-      if (!match) continue;
-    }
-    return s.window.RatePerSec();
+    const bool match =
+        std::all_of(labels.begin(), labels.end(), [&](const auto& want) {
+          return std::find(s.labels.begin(), s.labels.end(), want) !=
+                 s.labels.end();
+        });
+    if (match) return s.window.RatePerSec();
   }
   return 0.0;
 }

@@ -60,7 +60,7 @@ class DurationWindow {
 
 // Tracks a RateWindow for every counter seen in successive
 // MetricsSnapshots, keyed by name + labels. Feed each scrape's snapshot
-// via Observe(); query by metric name plus one distinguishing label.
+// via Observe(); query by metric name plus the labels that pick a series.
 // /statusz uses this to show live reports/sec and rounds/sec per session
 // without the data plane maintaining any derivative state.
 class TimeseriesTracker {
@@ -70,11 +70,11 @@ class TimeseriesTracker {
 
   void Observe(const MetricsSnapshot& snap, uint64_t t_ns);
 
-  // Rate of the counter `name` whose label set contains label==value
-  // (with an empty label, the first instance of `name` wins). 0.0 when
-  // no such counter has been observed twice.
-  double RatePerSec(const std::string& name, const std::string& label = "",
-                    const std::string& value = "") const;
+  // Rate of the counter `name` whose label set contains every label in
+  // `labels` (with several matches, an arbitrary one wins, so pass enough
+  // labels to pick one series). 0.0 when no such counter has been
+  // observed twice.
+  double RatePerSec(const std::string& name, const Labels& labels = {}) const;
 
  private:
   struct Series {

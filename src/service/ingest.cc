@@ -16,18 +16,6 @@
 
 namespace ldpids::service {
 
-const char* IngestResultName(IngestResult result) {
-  switch (result) {
-    case IngestResult::kAccepted: return "accepted";
-    case IngestResult::kMalformed: return "malformed";
-    case IngestResult::kWrongOracle: return "wrong oracle";
-    case IngestResult::kWrongTimestamp: return "wrong timestamp";
-    case IngestResult::kDuplicate: return "duplicate";
-    case IngestResult::kSketchRejected: return "sketch rejected";
-  }
-  return "?";
-}
-
 IngestStats& IngestStats::operator+=(const IngestStats& other) {
   accepted += other.accepted;
   malformed += other.malformed;
@@ -52,43 +40,8 @@ std::string IngestStats::ToString() const {
   return buf;
 }
 
-IngestShard::IngestShard(const FrequencyOracle& fo, const FoParams& params,
-                         OracleId oracle, uint32_t timestamp)
-    : sketch_(fo.CreateSketch(params)),
-      oracle_(oracle),
-      timestamp_(timestamp),
-      domain_(params.domain) {}
-
-IngestResult IngestShard::Ingest(const uint8_t* data, std::size_t size) {
-  if (sketch_ == nullptr) {
-    throw std::logic_error("ingest shard already closed");
-  }
-  if (TryDecodeReport(data, size, domain_, &scratch_) != WireError::kOk) {
-    ++stats_.malformed;
-    return IngestResult::kMalformed;
-  }
-  if (scratch_.oracle != oracle_) {
-    ++stats_.wrong_oracle;
-    return IngestResult::kWrongOracle;
-  }
-  if (scratch_.timestamp != timestamp_) {
-    ++stats_.wrong_timestamp;
-    return IngestResult::kWrongTimestamp;
-  }
-  if (seen_.Contains(scratch_.nonce)) {
-    ++stats_.duplicate;
-    return IngestResult::kDuplicate;
-  }
-  if (!sketch_->AddReport(scratch_)) {
-    ++stats_.sketch_rejected;
-    return IngestResult::kSketchRejected;
-  }
-  // Burn the nonce only on acceptance: a forged packet that decoded but
-  // failed the sketch's range check must not lock its user out.
-  seen_.Insert(scratch_.nonce);
-  ++stats_.accepted;
-  return IngestResult::kAccepted;
-}
+IngestShard::IngestShard(const FrequencyOracle& fo, const FoParams& params)
+    : sketch_(fo.CreateSketch(params)) {}
 
 void IngestShard::IngestSlice(const ReportArena& arena,
                               const uint32_t* indices, std::size_t count) {
@@ -108,10 +61,9 @@ void IngestShard::IngestSlice(const ReportArena& arena,
     const uint32_t row =
         indices != nullptr ? indices[i] : static_cast<uint32_t>(i);
     const uint64_t nonce = nonces[row];
-    // Same outcome order as Ingest: a re-delivered nonce is a duplicate
-    // even when its payload is out of range, and an out-of-range row does
-    // not burn its nonce. An in-range row probes once: Insert fails on a
-    // duplicate.
+    // A re-delivered nonce is a duplicate even when its payload is out of
+    // range, and an out-of-range row does not burn its nonce. An in-range
+    // row probes once: Insert fails on a duplicate.
     if (in_range[row] == 0) {
       if (seen_.Contains(nonce)) {
         ++stats_.duplicate;
@@ -152,24 +104,8 @@ ReportRouter::ReportRouter(const FrequencyOracle& fo, const FoParams& params,
   if (num_shards == 0) num_shards = HardwareThreads();
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.emplace_back(fo, params, oracle, timestamp);
+    shards_.emplace_back(fo, params);
   }
-}
-
-std::size_t ReportRouter::ShardOf(const uint8_t* data, std::size_t size,
-                                  std::size_t fallback) const {
-  uint64_t nonce = 0;
-  if (!PeekWireNonce(data, size, &nonce)) {
-    // Too mangled to carry a nonce; it will be rejected wherever it lands,
-    // so any deterministic spread works.
-    return fallback % shards_.size();
-  }
-  return static_cast<std::size_t>(Mix64(nonce)) % shards_.size();
-}
-
-IngestResult ReportRouter::Ingest(const std::vector<uint8_t>& packet) {
-  if (closed_) throw std::logic_error("router already closed");
-  return shards_[ShardOf(packet.data(), packet.size(), 0)].Ingest(packet);
 }
 
 void ReportRouter::IngestBatch(
@@ -301,9 +237,8 @@ std::unique_ptr<FoSketch> ReportRouter::Close(IngestStats* stats) {
     if (stats != nullptr) *stats += shards_[i].stats();
   }
   if (stats != nullptr) {
-    // Wire-level rejects from the batch path are counted once at the
-    // router (the arena classifies them before rows exist), so the summed
-    // stats stay identical to the per-packet path.
+    // Wire-level rejects are counted once at the router: the arena
+    // classifies them before rows exist.
     stats->malformed += decode_stats_.malformed;
     stats->wrong_oracle += decode_stats_.wrong_oracle;
     stats->wrong_timestamp += decode_stats_.wrong_timestamp;

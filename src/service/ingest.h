@@ -2,26 +2,21 @@
 // layer.
 //
 // One FO collection round at one timestamp is ingested by a `ReportRouter`
-// holding K `IngestShard`s. Each shard decodes envelopes defensively
-// (typed `WireError` results, no exceptions on the hot path), validates
-// them against the round's oracle/timestamp/domain, and folds accepted
-// reports into its own `FoSketch`. Each shard finishes its deferred
+// holding K `IngestShard`s. `IngestBatch` stages each batch through a
+// columnar ReportArena (fo/report_arena.h): every packet is decoded and
+// checksummed exactly once, with typed `WireError` results and no
+// exceptions on packet content, and malformed/wrong-round packets are
+// counted at the router. The surviving rows are partitioned by the staged
+// nonce column; each shard deduplicates its rows against its flat nonce
+// set and folds the survivors into its own `FoSketch` in one vectorized
+// `FoSketch::AddReports` call. Each shard finishes its deferred
 // per-report work (`FoSketch::Resolve`: OLH's O(d) support scan, HR's
 // FWHT batch) at the end of a parallel fold, on its own pool lane (a
-// serial or single-shard fold resolves at close). At timestamp close the shards are
-// merged (`FoSketch::MergeFrom`, pure count adds) into one sketch
-// whose estimate is bit-identical to single-shard ingestion of the same
-// packets — sketch state is additive integer counts, so neither the
+// serial or single-shard fold resolves at close). At timestamp close the
+// shards are merged (`FoSketch::MergeFrom`, pure count adds) into one
+// sketch whose estimate is bit-identical to single-shard ingestion of the
+// same packets — sketch state is additive integer counts, so neither the
 // partition nor where the scan ran ever shows.
-//
-// Batch path: `IngestBatch` stages the whole batch through a columnar
-// ReportArena (fo/report_arena.h) — every packet is decoded and
-// checksummed exactly once (the old path peeked the envelope for routing
-// and decoded it again inside the shard), malformed/wrong-round packets
-// are counted at the router, and the surviving rows are partitioned by the
-// staged nonce column. Each shard then deduplicates its rows against its
-// flat nonce set and folds the survivors in one vectorized
-// `FoSketch::AddReports` call.
 //
 // Thread model: one shard is single-threaded; different shards are
 // independent, so `IngestBatch` fans the decode chunks and the K shard
@@ -46,18 +41,6 @@
 
 namespace ldpids::service {
 
-// Why a packet was (not) folded into the round's sketch.
-enum class IngestResult : uint8_t {
-  kAccepted = 0,
-  kMalformed,        // wire-level corruption (any WireError)
-  kWrongOracle,      // valid packet, but for a different oracle
-  kWrongTimestamp,   // valid packet, but stale or from the future
-  kDuplicate,        // this round already accepted this user nonce
-  kSketchRejected,   // decoded fine, out of range for the sketch params
-};
-
-const char* IngestResultName(IngestResult result);
-
 // Per-round acceptance accounting, kept per shard and summed at close.
 struct IngestStats {
   uint64_t accepted = 0;
@@ -76,30 +59,25 @@ struct IngestStats {
   std::string ToString() const;
 };
 
-// One shard: a defensive decoder in front of a FoSketch. Single-threaded.
+// One shard: nonce dedup in front of a FoSketch. Single-threaded.
 class IngestShard {
  public:
-  // `oracle` and `timestamp` pin what this round accepts; `params` sizes
-  // the sketch (domain) and fixes the per-user budget (epsilon).
-  IngestShard(const FrequencyOracle& fo, const FoParams& params,
-              OracleId oracle, uint32_t timestamp);
+  // `params` sizes the sketch (domain) and fixes the per-user budget
+  // (epsilon).
+  IngestShard(const FrequencyOracle& fo, const FoParams& params);
 
   IngestShard(IngestShard&&) = default;
   IngestShard& operator=(IngestShard&&) = delete;
 
-  // Decodes and folds one packet; never throws on packet content.
-  IngestResult Ingest(const uint8_t* data, std::size_t size);
-  IngestResult Ingest(const std::vector<uint8_t>& packet) {
-    return Ingest(packet.data(), packet.size());
-  }
-
-  // Batch path: deduplicates `indices[0..count)` (rows of `arena`, in
-  // order) against this shard's seen nonces, counts out-of-range rows as
-  // sketch-rejected, and folds the survivors in one FoSketch::AddReports
-  // call. Classification order per row matches Ingest exactly: duplicate
-  // before sketch-rejected, and a nonce is burned only on acceptance.
-  // The arena rows must already be valid for this round (the arena's
-  // decode handles malformed/wrong-oracle/wrong-timestamp classification).
+  // Deduplicates `indices[0..count)` (rows of `arena`, in order) against
+  // this shard's seen nonces, counts out-of-range rows as sketch-rejected,
+  // and folds the survivors in one FoSketch::AddReports call. Per row, a
+  // duplicate outranks a sketch rejection (a re-delivered nonce is a
+  // duplicate even when its payload is out of range), and a nonce is
+  // burned only on acceptance (a forged out-of-range row must not lock
+  // its user out). The arena rows must already be valid for this round
+  // (the arena's decode handles malformed/wrong-oracle/wrong-timestamp
+  // classification).
   void IngestSlice(const ReportArena& arena, const uint32_t* indices,
                    std::size_t count);
 
@@ -112,11 +90,7 @@ class IngestShard {
 
  private:
   std::unique_ptr<FoSketch> sketch_;
-  OracleId oracle_;
-  uint32_t timestamp_;
-  std::size_t domain_;
   IngestStats stats_;
-  DecodedReport scratch_;  // reused across packets; no per-packet alloc
   // Nonces accepted this round: a re-delivered packet (retry, duplicating
   // network, replayed log) must not double-count its user. Each
   // IngestSlice reserves it for the slice's rows up front.
@@ -148,17 +122,14 @@ class ReportRouter {
   ReportRouter(const FrequencyOracle& fo, const FoParams& params,
                OracleId oracle, uint32_t timestamp, std::size_t num_shards);
 
-  // Serial single-packet path: routes the packet by its wire nonce.
-  IngestResult Ingest(const std::vector<uint8_t>& packet);
-
-  // Batch path: stages the packets through the columnar arena (decoding
-  // each exactly once, chunk-parallel for large batches), partitions the
+  // Stages the packets through the columnar arena (decoding each exactly
+  // once, chunk-parallel for large batches), partitions the
   // staged rows by nonce, and ingests the K shard slices concurrently
   // across up to `num_threads` pool lanes. The assignment is deterministic
   // and order-independent, so results are identical at every thread and
   // shard count. Wire-level rejects (malformed / wrong oracle / wrong
   // timestamp) are accounted at the router and folded into Close()'s
-  // stats; per-shard stats carry only row-level outcomes on this path.
+  // stats; per-shard stats carry only row-level outcomes.
   // The PayloadRef overload is the zero-copy transport hand-off
   // (RoundBuffer::TakeRound): the arena decodes the frame payloads in
   // place, straight out of the socket decoders' pooled blocks.
@@ -169,16 +140,17 @@ class ReportRouter {
 
   // Resolves whatever deferred work the shards still hold (none after a
   // parallel IngestBatch over K > 1 shards, which resolves on the shard
-  // lanes), merges the
-  // shards into one fully resolved sketch and returns it, accumulating
+  // lanes), merges the shards into one fully resolved sketch and returns
+  // it, accumulating
   // the shards' acceptance stats into `*stats` when non-null. The router
-  // is closed afterwards: further Ingest calls throw std::logic_error.
+  // is closed afterwards: further IngestBatch or Close calls throw
+  // std::logic_error.
   std::unique_ptr<FoSketch> Close(IngestStats* stats = nullptr);
 
   std::size_t num_shards() const { return shards_.size(); }
   const IngestShard& shard(std::size_t i) const { return shards_[i]; }
 
-  // Opt into per-stage wall-clock accounting on the batch path (default
+  // Opt into per-stage wall-clock accounting (default
   // off). Timing never changes what is ingested — it only reads the clock
   // around existing stage boundaries.
   void EnableStageTiming() { timing_ = true; }
@@ -187,9 +159,6 @@ class ReportRouter {
   const ArenaDecodeStats& decode_stats() const { return decode_stats_; }
 
  private:
-  // Shard index for one packet: nonce-keyed so duplicates colocate.
-  std::size_t ShardOf(const uint8_t* data, std::size_t size,
-                      std::size_t fallback) const;
   // Shared batch body over any packet container exposing data()/size().
   template <typename Packet>
   void IngestBatchImpl(const std::vector<Packet>& packets,

@@ -162,8 +162,8 @@ struct SessionOptions {
 };
 
 // Owns one mechanism and advances it timestamp by timestamp over wire
-// ingestion. Not thread-safe itself; distinct sessions are independent
-// (StreamServer drives many concurrently).
+// ingestion. Not thread-safe itself; distinct sessions are independent,
+// so many can advance concurrently on different threads.
 class MechanismSession {
  public:
   // `mechanism` must be non-null; `domain` is the stream's |Omega| (the

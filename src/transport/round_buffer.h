@@ -195,8 +195,8 @@ class RoundBuffer {
 };
 
 // Routes frames to per-session RoundBuffers by Frame::session_id: one
-// listener socket (or one replayed log) can feed every session of a
-// StreamServer. Register before traffic flows; delivery is thread-safe
+// listener socket (or one replayed log) can feed many sessions. Register
+// before traffic flows; delivery is thread-safe
 // (one mutex — contention is negligible next to socket reads and sketch
 // folding).
 class FrameDemux {
@@ -232,9 +232,8 @@ using AnnounceFn = std::function<void(const service::RoundRequest&)>;
 // A service::RoundTransport backed by a RoundBuffer: on each round it
 // (1) announces the request, (2) blocks in TakeRound for the round's
 // packets (out-of-order/late/duplicate delivery already absorbed), and
-// (3) feeds them to the sharded ingest. With this, a MechanismSession —
-// and therefore a whole StreamServer — runs over any byte transport that
-// can deliver frames into the buffer.
+// (3) feeds them to the sharded ingest. With this, a MechanismSession
+// runs over any byte transport that can deliver frames into the buffer.
 service::RoundTransport MakeBufferedTransport(RoundBuffer& buffer,
                                               AnnounceFn announce,
                                               std::size_t num_threads);

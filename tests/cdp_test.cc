@@ -1,12 +1,18 @@
 #include "cdp/baselines.h"
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/metrics.h"
 #include "analysis/runner.h"
 #include "cdp/laplace.h"
+#include "datagen/realworld_sim.h"
 #include "datagen/synthetic.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -103,6 +109,56 @@ TEST(CdpLdpGapTest, CdpUniformBeatsLdpUniform) {
   ldp.fo = "GRR";
   const auto lbu = EvaluateMechanism(*data, "LBU", ldp, 2);
   EXPECT_LT(mse_cdp, lbu.mse / 10.0);
+}
+
+// Bit-level pin of the four CDP baselines over an edge grid: window sizes
+// from 1 to 20 and budgets from 0.05 to 20, on a binary LNS stream and a
+// d = 17 drifting-Zipf stream. Each mechanism's releases chain into one
+// digest, so any change to a budget schedule (BD's decaying publication
+// budget, BA's absorbed and nullified units), an edge rule or the RNG draw
+// order shows up here.
+TEST(CdpMechanismTest, BaselinesMatchEdgeGridDigests) {
+  constexpr std::size_t kWindows[] = {1, 2, 3, 8, 20};
+  constexpr double kEpsilons[] = {0.05, 0.5, 3.0, 20.0};
+  constexpr std::size_t kLength = 50;
+  constexpr uint64_t kUsers = 1200;
+  struct Golden {
+    const char* mechanism;
+    uint64_t digest;
+  };
+  constexpr Golden kGoldens[] = {
+      {"Uniform", 0xD257360F6799D5B9ULL},
+      {"Sampling", 0xDEB863FFB6DBD232ULL},
+      {"BD", 0xDC7B081ECA06FD7CULL},
+      {"BA", 0x12F4ABE85AA03803ULL},
+  };
+  RealWorldSimOptions zipf;
+  zipf.seed = 29;
+  const std::vector<Histogram> streams[] = {
+      MakeLnsDataset(kUsers, kLength, 0.0025, 13)->TrueStream(),
+      MakeDriftingZipfDataset("zipf", kUsers, kLength, 17,
+                              /*timestamps_per_day=*/12, zipf)
+          ->TrueStream()};
+  for (const Golden& golden : kGoldens) {
+    uint64_t digest = 1469598103934665603ULL;
+    uint64_t cell = 0;
+    for (const std::size_t window : kWindows) {
+      for (const double eps : kEpsilons) {
+        for (const std::vector<Histogram>& stream : streams) {
+          CdpConfig config;
+          config.epsilon = eps;
+          config.window = window;
+          config.num_users = kUsers;
+          config.seed = 7 + cell++;
+          digest = testing::DigestReleases(
+              CreateCdpMechanism(golden.mechanism, config)->Run(stream),
+              digest);
+        }
+      }
+    }
+    EXPECT_EQ(digest, golden.digest)
+        << golden.mechanism << " digest 0x" << std::hex << digest;
+  }
 }
 
 }  // namespace

@@ -9,8 +9,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "obs/http_server.h"
 #include "obs/metrics.h"
 #include "obs/scrape_endpoint.h"
+#include "obs/stats_feed.h"
 #include "service/client_fleet.h"
 #include "service/session.h"
 #include "test_util.h"
@@ -417,6 +421,60 @@ TEST(HttpServerTest, ConcurrentScrapingPinsReleasesBitIdentical) {
     EXPECT_EQ(quiet[t].published, noisy[t].published) << t;
     EXPECT_EQ(quiet[t].release, noisy[t].release) << t;
   }
+}
+
+// /statusz's reports/s column is the slope of each session's accepted
+// series, the same series its reports column reads. Every session
+// registers all six ldpids_ingest_reports_total result series, and only
+// the accepted one moves, so any other series read in its place shows
+// 0.0.
+TEST(ScrapeEndpointTest, StatuszReportsRateReadsTheAcceptedSeries) {
+  obs::MetricsRegistry registry;
+  obs::ScrapeEndpointOptions options;
+  options.watchdog_period_ms = 0;
+  obs::ScrapeEndpoint endpoint(&registry, nullptr, options);
+  const std::vector<std::string> sessions = {"s0", "s1", "s2",
+                                             "s3", "s4", "s5"};
+  for (const std::string& session : sessions) {
+    registry
+        .GetGauge("ldpids_session_info", {{"session", session},
+                                          {"mechanism", "LBU"},
+                                          {"fo", "GRR"},
+                                          {"pipeline", "1"},
+                                          {"shards", "1"}})
+        .Set(1);
+    obs::IngestStatsFeed feed(&registry, {{"session", session}});
+  }
+  HttpRequest statusz;
+  statusz.method = "GET";
+  statusz.path = "/statusz";
+  ASSERT_EQ(endpoint.Handle(statusz).status, 200);
+  for (const std::string& session : sessions) {
+    registry
+        .GetCounter("ldpids_ingest_reports_total",
+                    {{"session", session}, {"result", "accepted"}})
+        .Add(5000);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const HttpResponse resp = endpoint.Handle(statusz);
+  ASSERT_EQ(resp.status, 200);
+
+  // Columns: session mechanism fo pipeline shards rounds reports rounds/s
+  // reports/s health.
+  std::size_t rows = 0;
+  std::istringstream lines(resp.body);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream cells(line);
+    std::vector<std::string> row;
+    for (std::string cell; cells >> cell;) row.push_back(cell);
+    if (row.size() != 10 || row[0].size() != 2 || row[0][0] != 's') {
+      continue;
+    }
+    ++rows;
+    EXPECT_EQ(row[6], "5000") << line;
+    EXPECT_GT(std::strtod(row[8].c_str(), nullptr), 0.0) << line;
+  }
+  EXPECT_EQ(rows, sessions.size()) << resp.body;
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // to the serial path for all 7 mechanisms x {GRR, OLH} at pipeline_depth
 // in {1, 2, 4}, over both the in-process transport and a loopback-socket
 // split transport with hostile delivery — pipelining reorders work, never
-// packets. Plus: a StreamServer of pipelined sessions matches serial
+// packets. Plus: pipelined sessions advanced concurrently match serial
 // sessions, and a session whose rounds stop arriving mid-pipeline poisons
 // cleanly (deadline flush -> zero-report failure) without deadlocking the
 // ingest worker.
@@ -30,12 +30,12 @@
 #include "service/client_fleet.h"
 #include "service/ingest.h"
 #include "service/session.h"
-#include "service/stream_server.h"
 #include "transport/frame.h"
 #include "transport/round_buffer.h"
 #include "transport/socket.h"
 #include "util/histogram.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ldpids {
 namespace {
@@ -45,7 +45,6 @@ using service::MechanismSession;
 using service::RoundRequest;
 using service::SessionOptions;
 using service::SplitRoundTransport;
-using service::StreamServer;
 using transport::Frame;
 using transport::FrameDemux;
 using transport::MakeBufferedSplitTransport;
@@ -274,24 +273,28 @@ TEST(PipelineSocketTest, PipelinedSocketMatchesSerialInprocBitForBit) {
   }
 }
 
-// A StreamServer of pipelined sessions (one ingest worker per stream, on
-// top of AdvanceAll's across-stream parallelism) matches serial sessions.
-TEST(PipelineServerTest, PipelinedStreamServerMatchesSerialSessions) {
+// Pipelined sessions (one ingest worker per stream) advanced concurrently
+// on the pool match serial sessions. Successive steps may run one session
+// on different pool lanes; the pool's completion barrier orders them.
+TEST(PipelineServerTest, PipelinedSessionsAdvancedInParallelMatchSerial) {
   const std::vector<std::string> mechanisms = {"LBA", "LBD", "LSP"};
   std::vector<std::vector<StepResult>> expected;
   for (const std::string& m : mechanisms) {
     expected.push_back(RunInproc(m, "GRR", 1).steps);
   }
 
-  StreamServer server(2);
   const ClientFleet fleet(kUsers, TruthValue, 4242);
+  std::vector<std::unique_ptr<MechanismSession>> sessions;
   for (const std::string& m : mechanisms) {
-    server.AddSession(m, std::make_unique<MechanismSession>(
-                             CreateMechanism(m, PipeConfig("GRR"), kUsers),
-                             kDomain, PipeOptions(2), fleet.Transport(1)));
+    sessions.push_back(std::make_unique<MechanismSession>(
+        CreateMechanism(m, PipeConfig("GRR"), kUsers), kDomain,
+        PipeOptions(2), fleet.Transport(1)));
   }
   for (std::size_t t = 0; t < kSteps; ++t) {
-    const std::vector<StepResult> releases = server.AdvanceAll();
+    std::vector<StepResult> releases(sessions.size());
+    ParallelFor(/*num_threads=*/2, sessions.size(), [&](std::size_t i) {
+      releases[i] = sessions[i]->Advance();
+    });
     for (std::size_t i = 0; i < mechanisms.size(); ++i) {
       EXPECT_EQ(releases[i].release, expected[i][t].release)
           << mechanisms[i] << " t=" << t;

@@ -1,8 +1,8 @@
 // ReportArena must classify packets exactly like the per-packet decode
-// path (same reasons, same order — see IngestShard::Ingest) and must
-// reconstruct every staged row losslessly. These tests replicate the
-// shard's classification with TryDecodeReport and diff the arena against
-// it packet for packet.
+// (same reasons, same order: malformed, then wrong oracle, then wrong
+// timestamp) and must reconstruct every staged row losslessly. These
+// tests replicate that classification with TryDecodeReport and diff the
+// arena against it packet for packet.
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -89,7 +89,7 @@ TEST(ReportArenaTest, ClassificationMatchesPerPacketDecodeForEveryOracle) {
   for (OracleId oracle : AllOracleIds()) {
     const auto packets = MixedBatch(oracle);
 
-    // Reference classification, in IngestShard's exact order.
+    // Reference classification, one TryDecodeReport per packet.
     ArenaDecodeStats want;
     std::vector<DecodedReport> want_rows;
     for (const auto& p : packets) {

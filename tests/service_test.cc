@@ -1,6 +1,6 @@
 // End-to-end coverage of the online serving layer (src/service/): wire
 // clients, defensive sharded ingestion, incremental mechanism sessions and
-// the multi-session server.
+// sessions advanced concurrently.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "service/client_fleet.h"
 #include "service/ingest.h"
 #include "service/session.h"
-#include "service/stream_server.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -27,14 +26,11 @@ namespace ldpids {
 namespace {
 
 using service::ClientFleet;
-using service::IngestResult;
-using service::IngestShard;
 using service::IngestStats;
 using service::MechanismSession;
 using service::ReportRouter;
 using service::RoundRequest;
 using service::SessionOptions;
-using service::StreamServer;
 
 constexpr std::size_t kDomain = 10;
 constexpr double kEpsilon = 1.0;
@@ -85,52 +81,59 @@ std::vector<std::vector<uint8_t>> RoundPackets(OracleId oracle,
   return packets;
 }
 
-TEST(IngestShardTest, CountsEveryRejectionReasonWithoutThrowing) {
-  const FrequencyOracle& fo = GetFrequencyOracle("GRR");
-  IngestShard shard(fo, {kEpsilon, kDomain}, OracleId::kGrr, /*timestamp=*/4);
-
-  auto good = RoundPackets(OracleId::kGrr, 4, 3);
-  EXPECT_EQ(shard.Ingest(good[0]), IngestResult::kAccepted);
-
-  auto corrupted = good[1];
-  corrupted[corrupted.size() / 2] ^= 0x5A;
-  EXPECT_EQ(shard.Ingest(corrupted), IngestResult::kMalformed);
-
-  // Valid packet, wrong oracle for this round.
-  auto olh = RoundPackets(OracleId::kOlh, 4, 1);
-  EXPECT_EQ(shard.Ingest(olh[0]), IngestResult::kWrongOracle);
-
-  // Valid packet, stale timestamp.
-  auto stale = RoundPackets(OracleId::kGrr, 3, 1);
-  EXPECT_EQ(shard.Ingest(stale[0]), IngestResult::kWrongTimestamp);
-
-  EXPECT_EQ(shard.stats().accepted, 1u);
-  EXPECT_EQ(shard.stats().malformed, 1u);
-  EXPECT_EQ(shard.stats().wrong_oracle, 1u);
-  EXPECT_EQ(shard.stats().wrong_timestamp, 1u);
-  EXPECT_EQ(shard.stats().total(), 4u);
-  EXPECT_EQ(shard.stats().rejected(), 3u);
+// One batch through a fresh router at `shards` shards (and as many
+// threads, so 4 shards take the parallel fold); returns the closed round's
+// stats and, through `sketch`, its merged sketch.
+IngestStats IngestRound(OracleId oracle, uint32_t timestamp,
+                        const std::vector<std::vector<uint8_t>>& packets,
+                        std::size_t shards,
+                        std::unique_ptr<FoSketch>* sketch = nullptr) {
+  const FrequencyOracle& fo = GetFrequencyOracle(OracleIdName(oracle));
+  ReportRouter router(fo, {kEpsilon, kDomain}, oracle, timestamp, shards);
+  router.IngestBatch(packets, shards);
+  IngestStats stats;
+  std::unique_ptr<FoSketch> merged = router.Close(&stats);
+  if (sketch != nullptr) *sketch = std::move(merged);
+  return stats;
 }
 
-TEST(IngestShardTest, SketchRangeChecksAreTheSecondLineOfDefense) {
+TEST(RouterTest, CountsEveryRejectionReasonWithoutThrowing) {
+  const auto good = RoundPackets(OracleId::kGrr, 4, 2);
+  auto corrupted = good[1];
+  corrupted[corrupted.size() / 2] ^= 0x5A;
+  const std::vector<std::vector<uint8_t>> packets = {
+      good[0], corrupted,
+      // Valid packet, wrong oracle for this round.
+      RoundPackets(OracleId::kOlh, 4, 1)[0],
+      // Valid packet, stale timestamp.
+      RoundPackets(OracleId::kGrr, 3, 1)[0]};
+  for (const std::size_t shards : {1u, 4u}) {
+    const IngestStats stats =
+        IngestRound(OracleId::kGrr, /*timestamp=*/4, packets, shards);
+    EXPECT_EQ(stats.accepted, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.malformed, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.wrong_oracle, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.wrong_timestamp, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.total(), 4u) << "shards=" << shards;
+    EXPECT_EQ(stats.rejected(), 3u) << "shards=" << shards;
+  }
+}
+
+TEST(RouterTest, SketchRangeChecksAreTheSecondLineOfDefense) {
   // A forged OLH packet with a bucket beyond g, and an HR packet with a
   // column beyond K, decode fine at wire level but must be rejected by the
   // sketch — counted, not crashed.
-  {
-    const FrequencyOracle& fo = GetFrequencyOracle("OLH");
-    IngestShard shard(fo, {kEpsilon, kDomain}, OracleId::kOlh, 0);
+  for (const std::size_t shards : {1u, 4u}) {
     // g = round(e^1)+1 = 4; bucket 4000 is out of range.
-    const auto forged = EncodeOlhReport(123, 4000, 0);
-    EXPECT_EQ(shard.Ingest(forged), IngestResult::kSketchRejected);
-    EXPECT_EQ(shard.stats().sketch_rejected, 1u);
-  }
-  {
-    const FrequencyOracle& fo = GetFrequencyOracle("HR");
-    IngestShard shard(fo, {kEpsilon, kDomain}, OracleId::kHr, 0);
+    const IngestStats olh = IngestRound(
+        OracleId::kOlh, 0, {EncodeOlhReport(123, 4000, 0)}, shards);
+    EXPECT_EQ(olh.sketch_rejected, 1u) << "shards=" << shards;
+    EXPECT_EQ(olh.total(), 1u) << "shards=" << shards;
     // K = 16 for d = 10; column 99999 is out of range.
-    const auto forged = EncodeHrReport(99999, 0);
-    EXPECT_EQ(shard.Ingest(forged), IngestResult::kSketchRejected);
-    EXPECT_EQ(shard.stats().sketch_rejected, 1u);
+    const IngestStats hr = IngestRound(
+        OracleId::kHr, 0, {EncodeHrReport(99999, 0)}, shards);
+    EXPECT_EQ(hr.sketch_rejected, 1u) << "shards=" << shards;
+    EXPECT_EQ(hr.total(), 1u) << "shards=" << shards;
   }
 }
 
@@ -199,14 +202,6 @@ TEST_P(RouterShardingTest, CloseLeavesNoDeferredWorkForTheEstimate) {
       EXPECT_EQ(merged->Estimate(), expected);
     }
   }
-  // The per-packet path resolves at Close too (inline: it has no lanes).
-  ReportRouter serial(fo, params, oracle, 5, 3);
-  for (const auto& p : packets) {
-    ASSERT_EQ(serial.Ingest(p), IngestResult::kAccepted);
-  }
-  auto merged = serial.Close(nullptr);
-  EXPECT_EQ(merged->Resolve(), 0u) << OracleIdName(oracle);
-  EXPECT_EQ(merged->Estimate(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOracles, RouterShardingTest,
@@ -215,23 +210,23 @@ INSTANTIATE_TEST_SUITE_P(AllOracles, RouterShardingTest,
                            return std::string(OracleIdName(info.param));
                          });
 
-TEST(RouterTest, CloseIsFinalAndSerialNonceRoutingWorks) {
+TEST(RouterTest, CloseIsFinalAndNonceRoutingSpreadsTheUsers) {
   const FrequencyOracle& fo = GetFrequencyOracle("GRR");
-  ReportRouter router(fo, {kEpsilon, kDomain}, OracleId::kGrr, 0, 3);
   const auto packets = RoundPackets(OracleId::kGrr, 0, 9);
-  for (const auto& p : packets) {
-    EXPECT_EQ(router.Ingest(p), IngestResult::kAccepted);
+  for (const std::size_t shards : {1u, 4u}) {
+    ReportRouter router(fo, {kEpsilon, kDomain}, OracleId::kGrr, 0, shards);
+    router.IngestBatch(packets, shards);
+    // Nonce routing spreads the users over the shards deterministically.
+    std::size_t routed = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      routed += router.shard(s).stats().accepted;
+    }
+    EXPECT_EQ(routed, 9u) << "shards=" << shards;
+    auto sketch = router.Close(nullptr);
+    EXPECT_EQ(sketch->num_users(), 9u) << "shards=" << shards;
+    EXPECT_THROW(router.IngestBatch(packets, shards), std::logic_error);
+    EXPECT_THROW(router.Close(nullptr), std::logic_error);
   }
-  // Nonce routing spreads the users over the shards deterministically.
-  std::size_t routed = 0;
-  for (std::size_t s = 0; s < 3; ++s) {
-    routed += router.shard(s).stats().accepted;
-  }
-  EXPECT_EQ(routed, 9u);
-  auto sketch = router.Close(nullptr);
-  EXPECT_EQ(sketch->num_users(), 9u);
-  EXPECT_THROW(router.Ingest(packets[0]), std::logic_error);
-  EXPECT_THROW(router.Close(nullptr), std::logic_error);
 }
 
 TEST(RouterTest, ZeroShardsPicksTheAdaptiveHardwareDefault) {
@@ -240,41 +235,42 @@ TEST(RouterTest, ZeroShardsPicksTheAdaptiveHardwareDefault) {
   EXPECT_EQ(router.num_shards(), HardwareThreads());
 }
 
-TEST(IngestShardTest, SameWirePacketTwiceCountsTheUserOnce) {
+TEST(RouterTest, SameWirePacketTwiceCountsTheUserOnce) {
   // Regression: a duplicated packet (network retry, replayed log) used to
   // fold into the sketch twice and double-count the user.
-  const FrequencyOracle& fo = GetFrequencyOracle("GRR");
-  IngestShard shard(fo, {kEpsilon, kDomain}, OracleId::kGrr, 0);
   const auto packets = RoundPackets(OracleId::kGrr, 0, 2);
-  EXPECT_EQ(shard.Ingest(packets[0]), IngestResult::kAccepted);
-  EXPECT_EQ(shard.Ingest(packets[0]), IngestResult::kDuplicate);
-  EXPECT_EQ(shard.Ingest(packets[1]), IngestResult::kAccepted);
-  EXPECT_EQ(shard.stats().accepted, 2u);
-  EXPECT_EQ(shard.stats().duplicate, 1u);
-  EXPECT_EQ(shard.sketch().num_users(), 2u);
+  for (const std::size_t shards : {1u, 4u}) {
+    std::unique_ptr<FoSketch> sketch;
+    const IngestStats stats = IngestRound(
+        OracleId::kGrr, 0, {packets[0], packets[0], packets[1]}, shards,
+        &sketch);
+    EXPECT_EQ(stats.accepted, 2u) << "shards=" << shards;
+    EXPECT_EQ(stats.duplicate, 1u) << "shards=" << shards;
+    EXPECT_EQ(sketch->num_users(), 2u) << "shards=" << shards;
+  }
 }
 
-TEST(IngestShardTest, SketchRejectionDoesNotBurnTheNonce) {
+TEST(RouterTest, SketchRejectionDoesNotBurnTheNonce) {
   // A forged OLH packet wearing user 7's nonce decodes but fails the
-  // sketch's range check; the real report with the same nonce must still
-  // be accepted afterwards.
-  const FrequencyOracle& fo = GetFrequencyOracle("OLH");
-  IngestShard shard(fo, {kEpsilon, kDomain}, OracleId::kOlh, 0);
-  const auto forged = EncodeOlhReport(123, 4000, 0, /*nonce=*/7);
-  EXPECT_EQ(shard.Ingest(forged), IngestResult::kSketchRejected);
+  // sketch's range check; the real report with the same nonce, later in
+  // the same round, must still be accepted.
   Rng rng(HashCounter(23, 7, 0));
-  const auto real =
-      PerturbToWire(OracleId::kOlh, 3, kEpsilon, kDomain, 0, 7, rng);
-  EXPECT_EQ(shard.Ingest(real), IngestResult::kAccepted);
+  const std::vector<std::vector<uint8_t>> packets = {
+      EncodeOlhReport(123, 4000, 0, /*nonce=*/7),
+      PerturbToWire(OracleId::kOlh, 3, kEpsilon, kDomain, 0, 7, rng)};
+  for (const std::size_t shards : {1u, 4u}) {
+    const IngestStats stats = IngestRound(OracleId::kOlh, 0, packets, shards);
+    EXPECT_EQ(stats.sketch_rejected, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.accepted, 1u) << "shards=" << shards;
+    EXPECT_EQ(stats.duplicate, 0u) << "shards=" << shards;
+  }
 }
 
-TEST(IngestShardTest, BatchClassifiesNoncesLikePerPacketIngest) {
+TEST(RouterTest, DuplicateOutranksSketchRejection) {
   // One batch: a real report, a forgery with its nonce, a forgery with a
   // nonce a later real report uses, and that report. The duplicate
   // outranks the sketch rejection, and the rejected forgery does not burn
-  // nonce 9 -- the same outcomes as four per-packet Ingest calls.
-  const FrequencyOracle& fo = GetFrequencyOracle("OLH");
-  const FoParams params{kEpsilon, kDomain};
+  // nonce 9, so exactly the two real reports fold.
   Rng rng7(HashCounter(23, 7, 0));
   Rng rng9(HashCounter(23, 9, 0));
   const std::vector<std::vector<uint8_t>> packets = {
@@ -282,22 +278,22 @@ TEST(IngestShardTest, BatchClassifiesNoncesLikePerPacketIngest) {
       EncodeOlhReport(123, 4000, 0, /*nonce=*/7),
       EncodeOlhReport(456, 4000, 0, /*nonce=*/9),
       PerturbToWire(OracleId::kOlh, 5, kEpsilon, kDomain, 0, 9, rng9)};
-  IngestShard shard(fo, params, OracleId::kOlh, 0);
-  for (const auto& packet : packets) shard.Ingest(packet);
-  EXPECT_EQ(shard.stats().accepted, 2u);
-  EXPECT_EQ(shard.stats().duplicate, 1u);
-  EXPECT_EQ(shard.stats().sketch_rejected, 1u);
+  auto reference = GetFrequencyOracle("OLH").CreateSketch({kEpsilon, kDomain});
+  for (const std::size_t i : {0u, 3u}) {
+    DecodedReport report;
+    ASSERT_EQ(TryDecodeReport(packets[i], kDomain, &report), WireError::kOk);
+    ASSERT_TRUE(reference->AddReport(report));
+  }
   for (const std::size_t shards : {1u, 4u}) {
-    ReportRouter router(fo, params, OracleId::kOlh, 0, shards);
-    router.IngestBatch(packets, 1);
-    IngestStats stats;
-    const auto merged = router.Close(&stats);
+    std::unique_ptr<FoSketch> merged;
+    const IngestStats stats =
+        IngestRound(OracleId::kOlh, 0, packets, shards, &merged);
     EXPECT_EQ(stats.accepted, 2u) << "shards=" << shards;
     EXPECT_EQ(stats.duplicate, 1u) << "shards=" << shards;
     EXPECT_EQ(stats.sketch_rejected, 1u) << "shards=" << shards;
     EXPECT_EQ(stats.total(), 4u) << "shards=" << shards;
-    EXPECT_EQ(merged->num_users(), shard.sketch().num_users());
-    EXPECT_EQ(merged->Estimate(), shard.sketch().Estimate());
+    EXPECT_EQ(merged->num_users(), reference->num_users());
+    EXPECT_EQ(merged->Estimate(), reference->Estimate());
   }
 }
 
@@ -475,9 +471,9 @@ TEST(MechanismSessionTest, ConstructorValidates) {
       std::invalid_argument);
 }
 
-// --- stream server --------------------------------------------------------
+// --- concurrent sessions --------------------------------------------------
 
-TEST(StreamServerTest, ParallelAdvanceMatchesSerialSessions) {
+TEST(MechanismSessionTest, ParallelAdvanceMatchesSerialSessions) {
   const std::vector<std::string> mechanisms = {"LBU", "LBA", "LPU", "LPA"};
   constexpr std::size_t kSteps = 6;
 
@@ -493,34 +489,24 @@ TEST(StreamServerTest, ParallelAdvanceMatchesSerialSessions) {
     expected.push_back(std::move(releases));
   }
 
-  // Server: same sessions advanced concurrently.
-  StreamServer server(/*num_threads=*/4);
+  // Same sessions advanced concurrently on the pool, one lane each.
   std::vector<std::unique_ptr<ClientFleet>> fleets;
+  std::vector<std::unique_ptr<MechanismSession>> sessions;
   for (std::size_t i = 0; i < mechanisms.size(); ++i) {
     fleets.push_back(
         std::make_unique<ClientFleet>(600, TruthValue, 7000 + i));
-    server.AddSession(mechanisms[i],
-                      MakeSession(mechanisms[i], *fleets[i], 2, 1));
+    sessions.push_back(MakeSession(mechanisms[i], *fleets[i], 2, 1));
   }
-  ASSERT_EQ(server.num_sessions(), mechanisms.size());
   for (std::size_t t = 0; t < kSteps; ++t) {
-    const std::vector<StepResult> releases = server.AdvanceAll();
+    std::vector<StepResult> releases(sessions.size());
+    ParallelFor(/*num_threads=*/4, sessions.size(), [&](std::size_t i) {
+      releases[i] = sessions[i]->Advance();
+    });
     for (std::size_t i = 0; i < mechanisms.size(); ++i) {
       EXPECT_EQ(releases[i].release, expected[i][t])
-          << server.name(i) << " t=" << t;
+          << mechanisms[i] << " t=" << t;
     }
   }
-}
-
-TEST(StreamServerTest, TracksSessionsByName) {
-  StreamServer server(1);
-  const ClientFleet fleet(200, TruthValue, 3);
-  const std::size_t idx =
-      server.AddSession("metrics/eu", MakeSession("LBU", fleet, 1, 1));
-  EXPECT_EQ(server.name(idx), "metrics/eu");
-  EXPECT_EQ(server.session(idx).next_timestamp(), 0u);
-  EXPECT_THROW(server.AddSession("null", nullptr), std::invalid_argument);
-  EXPECT_THROW(StreamServer(0), std::invalid_argument);
 }
 
 }  // namespace

@@ -21,21 +21,33 @@
 
 namespace ldpids::testing {
 
-// FNV-1a over the raw bytes of the run's releases, publication flags and
-// message counters. Bitwise: any change in any released double trips it.
-// `h` chains several runs into one digest.
+// FNV-1a over `n` raw bytes, continuing from `h`.
+inline uint64_t FnvFold(uint64_t h, const void* p, std::size_t n) {
+  const unsigned char* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// FNV-1a over the raw bytes of a release stream. Bitwise: any change in
+// any released double trips it. `h` chains several streams into one
+// digest.
+inline uint64_t DigestReleases(const std::vector<Histogram>& releases,
+                               uint64_t h = 1469598103934665603ULL) {
+  for (const Histogram& r : releases) {
+    h = FnvFold(h, r.data(), r.size() * sizeof(double));
+  }
+  return h;
+}
+
+// DigestReleases over the run's releases, then its publication flags and
+// message counters. `h` chains several runs into one digest.
 inline uint64_t DigestRun(const RunResult& run,
                           uint64_t h = 1469598103934665603ULL) {
-  auto fold = [&h](const void* p, std::size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const Histogram& r : run.releases) {
-    fold(r.data(), r.size() * sizeof(double));
-  }
+  h = DigestReleases(run.releases, h);
+  auto fold = [&h](const void* p, std::size_t n) { h = FnvFold(h, p, n); };
   for (bool p : run.published) {
     const unsigned char b = p ? 1 : 0;
     fold(&b, 1);

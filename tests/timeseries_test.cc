@@ -76,10 +76,57 @@ TEST(TimeseriesTrackerTest, TracksCountersAcrossSnapshots) {
   b.Add(30);
   tracker.Observe(registry.Snapshot(), 1 * kSec);
 
-  EXPECT_DOUBLE_EQ(tracker.RatePerSec("reqs_total", "session", "a"), 100.0);
-  EXPECT_DOUBLE_EQ(tracker.RatePerSec("reqs_total", "session", "b"), 30.0);
-  EXPECT_EQ(tracker.RatePerSec("reqs_total", "session", "zzz"), 0.0);
+  EXPECT_DOUBLE_EQ(tracker.RatePerSec("reqs_total", {{"session", "a"}}),
+                   100.0);
+  EXPECT_DOUBLE_EQ(tracker.RatePerSec("reqs_total", {{"session", "b"}}),
+                   30.0);
+  EXPECT_EQ(tracker.RatePerSec("reqs_total", {{"session", "zzz"}}), 0.0);
   EXPECT_EQ(tracker.RatePerSec("no_such_total"), 0.0);
+}
+
+// Every label asked for must match. A session's ingest counter has six
+// `result` series; only the accepted one moves here, and the accepted
+// query must read its slope, not whichever series the map visits first.
+TEST(TimeseriesTrackerTest, EveryRequestedLabelMustMatch) {
+  MetricsRegistry registry;
+  const std::vector<std::string> sessions = {"s0", "s1", "s2",
+                                             "s3", "s4", "s5"};
+  const std::vector<std::string> results = {
+      "accepted",        "malformed", "wrong_oracle",
+      "wrong_timestamp", "duplicate", "sketch_rejected"};
+  for (const std::string& session : sessions) {
+    for (const std::string& result : results) {
+      registry.GetCounter("ldpids_ingest_reports_total",
+                          {{"session", session}, {"result", result}});
+    }
+  }
+  TimeseriesTracker tracker;
+  tracker.Observe(registry.Snapshot(), 0);
+  for (const std::string& session : sessions) {
+    registry
+        .GetCounter("ldpids_ingest_reports_total",
+                    {{"session", session}, {"result", "accepted"}})
+        .Add(5000);
+  }
+  tracker.Observe(registry.Snapshot(), 1 * kSec);
+
+  for (const std::string& session : sessions) {
+    EXPECT_DOUBLE_EQ(
+        tracker.RatePerSec("ldpids_ingest_reports_total",
+                           {{"session", session}, {"result", "accepted"}}),
+        5000.0)
+        << session;
+    EXPECT_EQ(
+        tracker.RatePerSec("ldpids_ingest_reports_total",
+                           {{"session", session}, {"result", "duplicate"}}),
+        0.0)
+        << session;
+  }
+  // Label order in the query does not matter.
+  EXPECT_DOUBLE_EQ(
+      tracker.RatePerSec("ldpids_ingest_reports_total",
+                         {{"result", "accepted"}, {"session", "s3"}}),
+      5000.0);
 }
 
 // --- health model ---------------------------------------------------------

@@ -735,16 +735,5 @@ TEST(SketchWireFuzzTest, MismatchedParamsAreTypedRejections) {
   EXPECT_EQ(root->num_users(), 0u);
 }
 
-TEST(WireFuzzTest, ThrowingDecodersCarryTypedReasons) {
-  auto packet = EncodeHrReport(1, 0);
-  packet[0] ^= 0xFF;
-  try {
-    DecodeEnvelope(packet);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "wire: bad magic");
-  }
-}
-
 }  // namespace
 }  // namespace ldpids
