@@ -169,7 +169,7 @@ RunCell BenchMergeTree(uint64_t users, std::size_t timestamps,
       // accepted at the root == users folded across merged partials.
       cell.reports = root.session().stats().accepted;
       const SketchMergeStats& merges = root.merge_stats();
-      if (merges.missing != 0 || merges.rejected() != 0) {
+      if (merges.missing != 0 || merges.drops() != 0) {
         std::fprintf(stderr, "merge tree dropped partials: %s\n",
                      merges.ToString().c_str());
         std::exit(1);

@@ -124,11 +124,11 @@ double BestRate(const FrequencyOracle& fo, OracleId oracle,
   // the per-rep stage events and counter publication — the instrumented
   // serving cost.
   std::unique_ptr<obs::StageSink> stages;
-  std::unique_ptr<obs::IngestStatsFeed> feed;
+  std::unique_ptr<obs::StatsFeed<IngestStats>> feed;
   if (metrics != nullptr) {
     stages = std::make_unique<obs::StageSink>(metrics, OracleIdName(oracle),
                                               /*recorder=*/nullptr);
-    feed = std::make_unique<obs::IngestStatsFeed>(
+    feed = std::make_unique<obs::StatsFeed<IngestStats>>(
         metrics, obs::Labels{{"session", OracleIdName(oracle)}});
   }
   for (int rep = 0; rep < std::max(1, reps); ++rep) {

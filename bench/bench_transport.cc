@@ -120,7 +120,7 @@ CodecCell BenchCodec(std::size_t num_frames, int reps) {
       while (decoder.Next(&frame)) ++decoded;
     }
     const double decode_wall = Seconds(start);
-    if (decoded != num_frames || decoder.stats().errors() != 0) {
+    if (decoded != num_frames || decoder.stats().drops() != 0) {
       std::fprintf(stderr, "codec bench lost frames: %s\n",
                    decoder.stats().ToString().c_str());
       std::exit(1);
@@ -196,7 +196,7 @@ SocketCell BenchSocketLoopback(std::size_t num_frames, int reps,
     }
     const transport::FrameStats aggregate = listener.stats();
     if (summed.total() != aggregate.total() ||
-        summed.data_frames != num_frames || summed.errors() != 0) {
+        summed.data_frames != num_frames || summed.drops() != 0) {
       std::fprintf(stderr,
                    "socket bench per-connection stats mismatch:\n"
                    "  summed:    %s\n  aggregate: %s\n",

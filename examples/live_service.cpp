@@ -504,8 +504,8 @@ int main(int argc, char** argv) {
       [&](Frame&& frame) { replay_buffer.Deliver(std::move(frame)); });
   // The log replayer owns its decoder, so its stats reach the canonical
   // frame metrics through a feed the demo owns.
-  obs::FrameStatsFeed replay_feed(&registry,
-                                  obs::Labels{{"session", "replay"}});
+  obs::StatsFeed<transport::FrameStats> replay_feed(
+      &registry, obs::Labels{{"session", "replay"}});
   replay_feed.Add(replay_stats);
   SessionOptions replay_session_options = options;
   replay_session_options.metrics_label = "replay";

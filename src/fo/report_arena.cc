@@ -1,36 +1,33 @@
 #include "fo/report_arena.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 
 #include "fo/hr.h"
 #include "fo/olh.h"
 
 namespace ldpids {
 
-ArenaDecodeStats& ArenaDecodeStats::operator+=(const ArenaDecodeStats& other) {
-  decoded += other.decoded;
-  malformed += other.malformed;
-  wrong_oracle += other.wrong_oracle;
-  wrong_timestamp += other.wrong_timestamp;
-  for (std::size_t i = 0; i < kWireErrorCount; ++i) {
-    wire_errors[i] += other.wire_errors[i];
+// wire_error() indexes the breakdown rows by WireError, and each row's
+// label is WireErrorName's.
+static_assert([] {
+  const auto& rows = ArenaDecodeStats::kRows;
+  constexpr auto kLast = static_cast<WireError>(kWireErrorCount - 1);
+  if (std::size(rows) != ArenaDecodeStats::WireErrorRow(kLast) + 1) {
+    return false;
   }
-  return *this;
-}
-
-std::string ArenaDecodeStats::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "decoded=%llu malformed=%llu wrong_oracle=%llu "
-                "wrong_timestamp=%llu",
-                static_cast<unsigned long long>(decoded),
-                static_cast<unsigned long long>(malformed),
-                static_cast<unsigned long long>(wrong_oracle),
-                static_cast<unsigned long long>(wrong_timestamp));
-  return buf;
-}
+  for (std::size_t e = 1; e < kWireErrorCount; ++e) {
+    const auto error = static_cast<WireError>(e);
+    if (std::string_view(rows[ArenaDecodeStats::WireErrorRow(error)].name) !=
+        WireErrorName(error)) {
+      return false;
+    }
+  }
+  return true;
+}());
 
 void ReportArena::BeginRound(OracleId oracle, uint32_t timestamp,
                              const FoParams& params) {
@@ -107,7 +104,7 @@ void ReportArena::AppendClassified(const WireEnvelopeView& view,
   }
   if (err != WireError::kOk) {
     ++stats_.malformed;
-    ++stats_.wire_errors[static_cast<std::size_t>(err)];
+    ++stats_.wire_error(err);
     return;
   }
   if (view.oracle != oracle_) {

@@ -37,29 +37,71 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "fo/frequency_oracle.h"
 #include "fo/wire.h"
 #include "util/buffer_pool.h"
+#include "util/stat_table.h"
 
 namespace ldpids {
 
-// Per-reason decode accounting for one round's staged batch.
-struct ArenaDecodeStats {
+// Per-reason decode accounting for one round's staged batch: every packet
+// is decoded or one of three rejects, so total() counts the packets fed.
+struct ArenaDecodeStats : util::StatTable<ArenaDecodeStats> {
   uint64_t decoded = 0;          // packets that became rows
   uint64_t malformed = 0;        // any WireError, including out-of-domain
   uint64_t wrong_oracle = 0;     // valid packet for a different oracle
   uint64_t wrong_timestamp = 0;  // valid packet for a different round
-  // Breakdown of `malformed` by WireError (indexed by enum value).
-  uint64_t wire_errors[kWireErrorCount] = {};
+  // Breakdown of `malformed` by WireError, in enum order.
+  uint64_t too_short = 0;
+  uint64_t bad_magic = 0;
+  uint64_t bad_version = 0;
+  uint64_t unknown_oracle = 0;
+  uint64_t length_mismatch = 0;
+  uint64_t checksum_mismatch = 0;
+  uint64_t payload_size = 0;
+  uint64_t value_out_of_domain = 0;
 
-  uint64_t total() const {
-    return decoded + malformed + wrong_oracle + wrong_timestamp;
+  // The breakdown counter of `error`, which must not be kOk.
+  uint64_t& wire_error(WireError error) {
+    return this->*kRows[WireErrorRow(error)].field;
   }
-  ArenaDecodeStats& operator+=(const ArenaDecodeStats& other);
-  std::string ToString() const;
+  uint64_t wire_error(WireError error) const {
+    return this->*kRows[WireErrorRow(error)].field;
+  }
+
+  // Rows 4.. are the breakdown, one per WireError after kOk, named
+  // WireErrorName(error) (checked in report_arena.cc).
+  static constexpr std::size_t WireErrorRow(WireError error) {
+    return 3 + static_cast<std::size_t>(error);
+  }
+  static constexpr util::StatRow<ArenaDecodeStats> kRows[] = {
+      {&ArenaDecodeStats::decoded, "decoded", "ldpids_arena_decoded_total",
+       nullptr, util::StatKind::kPass},
+      {&ArenaDecodeStats::malformed, "malformed",
+       "ldpids_arena_rejects_total", "reason", util::StatKind::kDrop},
+      {&ArenaDecodeStats::wrong_oracle, "wrong_oracle",
+       "ldpids_arena_rejects_total", "reason", util::StatKind::kDrop},
+      {&ArenaDecodeStats::wrong_timestamp, "wrong_timestamp",
+       "ldpids_arena_rejects_total", "reason", util::StatKind::kDrop},
+      {&ArenaDecodeStats::too_short, "too_short",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+      {&ArenaDecodeStats::bad_magic, "bad_magic",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+      {&ArenaDecodeStats::bad_version, "bad_version",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+      {&ArenaDecodeStats::unknown_oracle, "unknown_oracle",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+      {&ArenaDecodeStats::length_mismatch, "length_mismatch",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+      {&ArenaDecodeStats::checksum_mismatch, "checksum_mismatch",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+      {&ArenaDecodeStats::payload_size, "payload_size",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+      {&ArenaDecodeStats::value_out_of_domain, "value_out_of_domain",
+       "ldpids_arena_wire_errors_total", "reason", util::StatKind::kDetail},
+  };
 };
 
 class ReportArena {

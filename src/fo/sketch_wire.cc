@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
 #include "util/histogram.h"
@@ -22,19 +21,6 @@ bool OracleIdInRange(uint8_t id) {
 }
 
 }  // namespace
-
-const char* SketchWireErrorName(SketchWireError error) {
-  switch (error) {
-    case SketchWireError::kOk: return "ok";
-    case SketchWireError::kTooShort: return "too short";
-    case SketchWireError::kBadMagic: return "bad magic";
-    case SketchWireError::kBadVersion: return "bad version";
-    case SketchWireError::kUnknownOracle: return "unknown oracle";
-    case SketchWireError::kLengthMismatch: return "length mismatch";
-    case SketchWireError::kChecksumMismatch: return "checksum mismatch";
-  }
-  return "?";
-}
 
 std::size_t EncodedPartialSketchSize(std::size_t count_len) {
   return kSketchWireHeaderSize + 8 * count_len + kChecksumSize;
@@ -118,37 +104,6 @@ bool PeekPartialSketchNodeId(const uint8_t* data, std::size_t size,
   }
   *node_id = GetU64Le(data + 4);
   return true;
-}
-
-SketchMergeStats& SketchMergeStats::operator+=(
-    const SketchMergeStats& other) {
-  merged += other.merged;
-  users_merged += other.users_merged;
-  malformed += other.malformed;
-  wrong_oracle += other.wrong_oracle;
-  wrong_round += other.wrong_round;
-  params_mismatch += other.params_mismatch;
-  duplicate_node += other.duplicate_node;
-  missing += other.missing;
-  return *this;
-}
-
-std::string SketchMergeStats::ToString() const {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "merged=%llu users=%llu malformed=%llu wrong_oracle=%llu "
-      "wrong_round=%llu params_mismatch=%llu duplicate_node=%llu "
-      "missing=%llu",
-      static_cast<unsigned long long>(merged),
-      static_cast<unsigned long long>(users_merged),
-      static_cast<unsigned long long>(malformed),
-      static_cast<unsigned long long>(wrong_oracle),
-      static_cast<unsigned long long>(wrong_round),
-      static_cast<unsigned long long>(params_mismatch),
-      static_cast<unsigned long long>(duplicate_node),
-      static_cast<unsigned long long>(missing));
-  return buf;
 }
 
 bool MergePartialSketch(const uint8_t* data, std::size_t size,

@@ -51,6 +51,7 @@
 
 #include "fo/frequency_oracle.h"
 #include "fo/wire.h"
+#include "util/stat_table.h"
 
 namespace ldpids {
 
@@ -64,11 +65,6 @@ enum class SketchWireError : uint8_t {
   kLengthMismatch,     // declared count length does not match the bytes
   kChecksumMismatch,
 };
-
-// Number of SketchWireError enumerators (for per-reason counters).
-inline constexpr std::size_t kSketchWireErrorCount = 7;
-
-const char* SketchWireErrorName(SketchWireError error);
 
 // Fixed bytes before the count vector.
 inline constexpr std::size_t kSketchWireHeaderSize = 56;
@@ -118,12 +114,13 @@ SketchWireError TryViewPartialSketch(const std::vector<uint8_t>& payload,
 bool PeekPartialSketchNodeId(const uint8_t* data, std::size_t size,
                              uint64_t* node_id);
 
-// Typed accounting of a root's partial-sketch merges. `merged` partials
-// were folded; every other counter is a rejection reason (a rejected
-// partial never touches the round sketch). `missing` is owned by the
-// caller: announced children whose partial never arrived before the
-// round flushed (the failed-aggregator signal).
-struct SketchMergeStats {
+// Typed accounting of a root's partial-sketch merges. Every payload
+// handed to MergePartialSketch lands in exactly one of `merged` or a
+// rejection reason (a rejected partial never touches the round sketch).
+// `missing` is owned by the caller: announced children whose partial
+// never arrived before the round flushed (the failed-aggregator signal);
+// it and `users_merged` are details, not outcomes.
+struct SketchMergeStats : util::StatTable<SketchMergeStats> {
   uint64_t merged = 0;
   uint64_t users_merged = 0;     // sum of merged partials' num_users
   uint64_t malformed = 0;        // wire-level reject (TryViewPartialSketch)
@@ -133,15 +130,25 @@ struct SketchMergeStats {
   uint64_t duplicate_node = 0;   // same node id twice within one round
   uint64_t missing = 0;
 
-  uint64_t rejected() const {
-    return malformed + wrong_oracle + wrong_round + params_mismatch +
-           duplicate_node;
-  }
-  // Every payload handed to MergePartialSketch lands in exactly one of
-  // merged / rejected() (`missing` and `users_merged` do not add here).
-  uint64_t total() const { return merged + rejected(); }
-  SketchMergeStats& operator+=(const SketchMergeStats& other);
-  std::string ToString() const;
+  static constexpr util::StatRow<SketchMergeStats> kRows[] = {
+      {&SketchMergeStats::merged, "merged",
+       "ldpids_sketch_merge_partials_total", "result", util::StatKind::kPass},
+      {&SketchMergeStats::users_merged, "users_merged",
+       "ldpids_sketch_merge_users_total", nullptr, util::StatKind::kDetail},
+      {&SketchMergeStats::malformed, "malformed",
+       "ldpids_sketch_merge_partials_total", "result", util::StatKind::kDrop},
+      {&SketchMergeStats::wrong_oracle, "wrong_oracle",
+       "ldpids_sketch_merge_partials_total", "result", util::StatKind::kDrop},
+      {&SketchMergeStats::wrong_round, "wrong_round",
+       "ldpids_sketch_merge_partials_total", "result", util::StatKind::kDrop},
+      {&SketchMergeStats::params_mismatch, "params_mismatch",
+       "ldpids_sketch_merge_partials_total", "result", util::StatKind::kDrop},
+      {&SketchMergeStats::duplicate_node, "duplicate_node",
+       "ldpids_sketch_merge_partials_total", "result", util::StatKind::kDrop},
+      {&SketchMergeStats::missing, "missing",
+       "ldpids_sketch_merge_partials_total", "result",
+       util::StatKind::kDetail},
+  };
 };
 
 // Validates one encoded partial sketch against the round's expectations

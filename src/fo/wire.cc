@@ -199,21 +199,6 @@ OracleId OracleIdFromName(const std::string& name) {
   throw std::invalid_argument("unknown oracle name: " + name);
 }
 
-const char* WireErrorName(WireError error) {
-  switch (error) {
-    case WireError::kOk: return "ok";
-    case WireError::kTooShort: return "packet too short";
-    case WireError::kBadMagic: return "bad magic";
-    case WireError::kBadVersion: return "bad version";
-    case WireError::kUnknownOracle: return "unknown oracle id";
-    case WireError::kLengthMismatch: return "length mismatch";
-    case WireError::kChecksumMismatch: return "checksum mismatch";
-    case WireError::kPayloadSize: return "payload size mismatch";
-    case WireError::kValueOutOfDomain: return "value outside domain";
-  }
-  return "?";
-}
-
 namespace {
 
 // Byte layout of the checksum input is defined little-endian so the value

@@ -79,8 +79,23 @@ enum class WireError : uint8_t {
 // enum value; kOk is index 0).
 inline constexpr std::size_t kWireErrorCount = 9;
 
-// Human-readable reason, for logs and rejection reports.
-const char* WireErrorName(WireError error);
+// snake_case reason: the label of ldpids_arena_wire_errors_total, spelled
+// like ldpids_frame_errors_total's reason for the same failure
+// (bad_magic, bad_version, checksum_mismatch).
+constexpr const char* WireErrorName(WireError error) {
+  switch (error) {
+    case WireError::kOk: return "ok";
+    case WireError::kTooShort: return "too_short";
+    case WireError::kBadMagic: return "bad_magic";
+    case WireError::kBadVersion: return "bad_version";
+    case WireError::kUnknownOracle: return "unknown_oracle";
+    case WireError::kLengthMismatch: return "length_mismatch";
+    case WireError::kChecksumMismatch: return "checksum_mismatch";
+    case WireError::kPayloadSize: return "payload_size";
+    case WireError::kValueOutOfDomain: return "value_out_of_domain";
+  }
+  return "?";
+}
 
 // Oracle-specific report payloads, in decoded form.
 struct GrrWireReport {

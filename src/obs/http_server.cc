@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "transport/socket_util.h"
+#include "util/socket_util.h"
 
 namespace ldpids::obs {
 
@@ -208,7 +208,7 @@ HttpServer::HttpServer(uint16_t port, HttpHandler handler)
   if (!handler_) {
     throw std::invalid_argument("http server needs a handler");
   }
-  listen_fd_ = transport::BindLoopbackListener(port, &port_);
+  listen_fd_ = util::BindLoopbackListener(port, &port_);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 
@@ -301,7 +301,7 @@ void HttpServer::ConnectionLoop(int fd) {
     const std::string wire =
         RenderHttpResponse(response, keep_alive, head_only);
     try {
-      transport::SendAll(fd, reinterpret_cast<const uint8_t*>(wire.data()),
+      util::SendAll(fd, reinterpret_cast<const uint8_t*>(wire.data()),
                          wire.size());
     } catch (...) {
       break;  // peer went away mid-response; nothing to salvage

@@ -1,8 +1,8 @@
 // Low-overhead metrics registry for the serving data plane.
 //
-// The repo accumulated four ad-hoc stats structs (transport::FrameStats,
-// transport::RoundBufferStats, ArenaDecodeStats, service::IngestStats)
-// with no timing data and no machine-readable export. This registry is the
+// The data plane's stats structs (transport::FrameStats,
+// transport::RoundBufferStats, ArenaDecodeStats, service::IngestStats,
+// SketchMergeStats) count outcomes in plain fields; this registry is the
 // canonical sink they all feed: named, labeled counters, gauges and
 // log2-bucketed latency histograms, built so the hot path pays one relaxed
 // atomic RMW per increment and readers take a consistent snapshot without
@@ -25,7 +25,10 @@
 //
 // Exporters (Prometheus text exposition, structured JSON) live in
 // obs/export.h; per-pipeline-stage timing helpers in obs/stage_trace.h;
-// the bridges from the legacy stats structs in obs/stats_feed.h.
+// the feed that publishes any stats struct from its outcome table
+// (util/stat_table.h) in obs/stats_feed.h. obs includes only obs/ and
+// util/ headers (scripts/check_layers.py), so every layer above can
+// publish here without a cycle.
 #ifndef LDPIDS_OBS_METRICS_H_
 #define LDPIDS_OBS_METRICS_H_
 

@@ -1,153 +1,83 @@
-// Bridges from the data plane's per-component stats structs into the
-// metrics registry, giving every counter they hold a canonical metric
-// name:
+// Publishes the data plane's stats structs into the metrics registry.
 //
-//   transport::FrameStats      -> ldpids_frame_*
-//   transport::RoundBufferStats-> ldpids_roundbuf_*
-//   ArenaDecodeStats           -> ldpids_arena_*
-//   service::IngestStats       -> ldpids_ingest_*
+// Every layer's stats struct carries its own outcome table
+// (util/stat_table.h): each row names the field, its snake_case name, the
+// series it is published under and its kind. One feed, `StatsFeed<Stats>`,
+// publishes any such struct from its rows: a row with a series becomes one
+// counter, labeled with the feed's labels plus {row.label=row.name} when
+// the row has a label key. The tables give the canonical names:
 //
-// The structs stay the in-component source of truth (cheap plain
-// uint64 increments, per-round snapshots, ToString); a feed publishes
-// them into registry counters so exporters and scrapes see them under
-// stable names. Every feed takes deltas:
+//   transport::FrameStats       -> ldpids_frame_*
+//   transport::RoundBufferStats -> ldpids_roundbuf_*
+//   ArenaDecodeStats            -> ldpids_arena_*
+//   service::IngestStats        -> ldpids_ingest_reports_total{result=...}
+//   SketchMergeStats            -> ldpids_sketch_merge_*
+//
+// A row without a series is published by another layer's table (the
+// ingest copies of the arena's wire-level rejects), so each drop has
+// exactly one series.
+//
+// The structs stay the in-component source of truth (plain uint64
+// increments, per-round snapshots, ToString); a feed takes them two ways:
 //
 //   Add(delta)        — the caller hands a fresh delta (e.g. one round's
 //                       IngestStats); counters advance by it.
-//
-// The RoundBuffer feed also takes cumulative state, because RoundBuffer
-// keeps only a running total:
-//
 //   Publish(current)  — the caller hands the component's cumulative
 //                       struct; the feed diffs it against the last
 //                       published state and adds the difference. Safe to
 //                       call repeatedly with the same snapshot.
 //
-// Feeds pre-register every counter at construction, so publishing on a
-// hot path never touches the registry mutex. Each feed instance tracks
-// one component's cumulative state: give each decoder/buffer/session its
-// own feed (they may share labels — counters are additive).
-//
-// This header is the top of the obs dependency stack: it includes the
-// component headers, so only .cc files should include it (component
-// headers forward-declare the feed types).
+// A feed registers every counter at construction, so publishing on a hot
+// path never touches the registry mutex. Each feed instance tracks one
+// component's cumulative state: give each decoder/buffer/session its own
+// feed (they may share labels — counters are additive).
 #ifndef LDPIDS_OBS_STATS_FEED_H_
 #define LDPIDS_OBS_STATS_FEED_H_
 
-#include "fo/report_arena.h"
-#include "fo/sketch_wire.h"
+#include <array>
+#include <cstddef>
+#include <iterator>
+
 #include "obs/metrics.h"
-#include "service/ingest.h"
-#include "transport/frame.h"
-#include "transport/round_buffer.h"
+#include "util/stat_table.h"
 
 namespace ldpids::obs {
 
-// FrameStats -> ldpids_frame_{frames,data_frames,end_round_frames,
-// partial_sketch_frames,bytes,skipped_bytes}_total and
-// ldpids_frame_errors_total{reason=...}.
-class FrameStatsFeed {
+template <typename Stats>
+class StatsFeed {
  public:
-  FrameStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
+  explicit StatsFeed(MetricsRegistry* registry, const Labels& labels = {}) {
+    for (std::size_t i = 0; i < kRowCount; ++i) {
+      const util::StatRow<Stats>& row = Stats::kRows[i];
+      if (row.series == nullptr) continue;
+      Labels row_labels = labels;
+      if (row.label != nullptr) row_labels.emplace_back(row.label, row.name);
+      counters_[i] = &registry->GetCounter(row.series, row_labels);
+    }
+  }
 
-  void Add(const transport::FrameStats& delta);
+  void Add(const Stats& delta) {
+    for (std::size_t i = 0; i < kRowCount; ++i) {
+      if (counters_[i] != nullptr) {
+        counters_[i]->Add(delta.*Stats::kRows[i].field);
+      }
+    }
+  }
+
+  void Publish(const Stats& current) {
+    for (std::size_t i = 0; i < kRowCount; ++i) {
+      const auto field = Stats::kRows[i].field;
+      if (counters_[i] != nullptr) {
+        counters_[i]->Add(current.*field - last_.*field);
+      }
+    }
+    last_ = current;
+  }
 
  private:
-  Counter* frames_;
-  Counter* data_frames_;
-  Counter* end_round_frames_;
-  Counter* partial_sketch_frames_;
-  Counter* bytes_;
-  Counter* skipped_bytes_;
-  Counter* bad_magic_;
-  Counter* bad_version_;
-  Counter* bad_kind_;
-  Counter* oversize_;
-  Counter* checksum_mismatch_;
-  Counter* bad_control_;
-};
-
-// RoundBufferStats -> ldpids_roundbuf_{buffered,end_markers,rounds_drained,
-// packets_drained,deadline_flushes,duplicate_frames,masked_losses}_total,
-// ldpids_roundbuf_drops_total{reason=...}, plus the
-// ldpids_roundbuf_pending_rounds gauge (SetPending).
-class RoundBufferStatsFeed {
- public:
-  RoundBufferStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
-
-  void Add(const transport::RoundBufferStats& delta);
-  void Publish(const transport::RoundBufferStats& current);
-  void SetPending(std::size_t pending_rounds);
-
- private:
-  Counter* buffered_;
-  Counter* end_markers_;
-  Counter* closed_round_drops_;
-  Counter* too_late_drops_;
-  Counter* too_early_drops_;
-  Counter* rounds_drained_;
-  Counter* packets_drained_;
-  Counter* deadline_flushes_;
-  Counter* duplicate_frames_;
-  Counter* masked_losses_;
-  Gauge* pending_rounds_;
-  transport::RoundBufferStats last_;
-};
-
-// ArenaDecodeStats -> ldpids_arena_decoded_total,
-// ldpids_arena_rejects_total{reason=...} and
-// ldpids_arena_wire_errors_total{reason=<WireErrorName>} (kOk elided).
-class ArenaDecodeStatsFeed {
- public:
-  ArenaDecodeStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
-
-  void Add(const ArenaDecodeStats& delta);
-
- private:
-  Counter* decoded_;
-  Counter* malformed_;
-  Counter* wrong_oracle_;
-  Counter* wrong_timestamp_;
-  // Index 0 (kOk) stays null — a decoded packet is not a wire error.
-  Counter* wire_errors_[kWireErrorCount] = {};
-};
-
-// SketchMergeStats -> ldpids_sketch_merge_partials_total{result=...} and
-// ldpids_sketch_merge_users_total (the root side of the merge tree; the
-// per-aggregator emit side publishes ldpids_aggregator_* directly).
-class SketchMergeStatsFeed {
- public:
-  SketchMergeStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
-
-  void Add(const SketchMergeStats& delta);
-
- private:
-  Counter* merged_;
-  Counter* users_merged_;
-  Counter* malformed_;
-  Counter* wrong_oracle_;
-  Counter* wrong_round_;
-  Counter* params_mismatch_;
-  Counter* duplicate_node_;
-  Counter* missing_;
-};
-
-// IngestStats -> ldpids_ingest_reports_total{result=...}, one series per
-// IngestStats field: accepted, malformed, wrong_oracle, wrong_timestamp,
-// duplicate, sketch_rejected.
-class IngestStatsFeed {
- public:
-  IngestStatsFeed(MetricsRegistry* registry, const Labels& labels = {});
-
-  void Add(const service::IngestStats& delta);
-
- private:
-  Counter* accepted_;
-  Counter* malformed_;
-  Counter* wrong_oracle_;
-  Counter* wrong_timestamp_;
-  Counter* duplicate_;
-  Counter* sketch_rejected_;
+  static constexpr std::size_t kRowCount = std::size(Stats::kRows);
+  std::array<Counter*, kRowCount> counters_{};
+  Stats last_{};
 };
 
 }  // namespace ldpids::obs

@@ -30,7 +30,7 @@ void AppendIngestEvents(uint64_t round, const RouterStageNanos& busy,
   const uint64_t fold0 = t1 - std::min(t1 - t0, busy.shard_fold);
   const uint64_t decode0 = fold0 - std::min(fold0 - t0, busy.arena_decode);
   const uint64_t accepted = out->stats.accepted;
-  const uint64_t rejected = out->stats.rejected();
+  const uint64_t rejected = out->stats.drops();
   out->events.reserve(4);
   out->events.push_back(
       {obs::Stage::kTransportRtt, round, t0, decode0, accepted, rejected});
@@ -57,7 +57,9 @@ AggregatorNode::AggregatorNode(const FrequencyOracle& fo, OracleId oracle,
     if (!options_.metrics_label.empty()) {
       labels.emplace_back("node", options_.metrics_label);
     }
-    ingest_feed_ = std::make_unique<obs::IngestStatsFeed>(&reg, labels);
+    ingest_feed_ = std::make_unique<obs::StatsFeed<IngestStats>>(&reg, labels);
+    arena_feed_ =
+        std::make_unique<obs::StatsFeed<ArenaDecodeStats>>(&reg, labels);
     rounds_counter_ =
         &reg.GetCounter("ldpids_aggregator_rounds_total", labels);
     partials_counter_ =
@@ -90,7 +92,10 @@ void AggregatorNode::ExecuteRound(const RoundRequest& request,
   ++rounds_;
   stats_ += out->stats;
   if (rounds_counter_ != nullptr) rounds_counter_->Add(1);
-  if (ingest_feed_ != nullptr) ingest_feed_->Add(out->stats);
+  if (ingest_feed_ != nullptr) {
+    ingest_feed_->Add(out->stats);
+    arena_feed_->Add(router.decode_stats());
+  }
 }
 
 std::vector<uint8_t> AggregatorNode::RunRoundToPartial(
@@ -241,10 +246,10 @@ void RootSession::MergeRound(const RoundRequest& request, bool timed,
     const uint64_t round = request.round_index;
     out->events.reserve(2);
     out->events.push_back({obs::Stage::kTransportRtt, round, t0, t1,
-                           out->stats.accepted, out->stats.rejected()});
+                           out->stats.accepted, out->stats.drops()});
     out->events.push_back({obs::Stage::kSketchMerge, round, t1,
                            obs::NowNs(), out->sketch_merges.merged,
-                           out->sketch_merges.rejected()});
+                           out->sketch_merges.drops()});
   }
 }
 

@@ -47,7 +47,8 @@
 
 namespace ldpids::obs {
 class Counter;
-class IngestStatsFeed;
+template <typename Stats>
+class StatsFeed;
 }  // namespace ldpids::obs
 
 namespace ldpids::service {
@@ -59,8 +60,9 @@ struct AggregatorOptions {
   // within one merge tree — the root dedups partials by it.
   uint64_t node_id = 0;
   // Observability (optional): registers ldpids_aggregator_* counters and
-  // the canonical ingest metrics, labeled {node=metrics_label} (unlabeled
-  // when the label is empty). Write-only, like SessionOptions::metrics.
+  // the canonical arena and ingest metrics, labeled {node=metrics_label}
+  // (unlabeled when the label is empty). Write-only, like
+  // SessionOptions::metrics.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_label;
 };
@@ -113,7 +115,8 @@ class AggregatorNode {
   uint64_t rounds_ = 0;
   IngestStats stats_;
   // Observability (null when options_.metrics is).
-  std::unique_ptr<obs::IngestStatsFeed> ingest_feed_;
+  std::unique_ptr<obs::StatsFeed<IngestStats>> ingest_feed_;
+  std::unique_ptr<obs::StatsFeed<ArenaDecodeStats>> arena_feed_;
   obs::Counter* rounds_counter_ = nullptr;
   obs::Counter* partials_counter_ = nullptr;
   obs::Counter* partial_bytes_counter_ = nullptr;

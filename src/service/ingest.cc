@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,30 +14,6 @@
 #include "util/thread_pool.h"
 
 namespace ldpids::service {
-
-IngestStats& IngestStats::operator+=(const IngestStats& other) {
-  accepted += other.accepted;
-  malformed += other.malformed;
-  wrong_oracle += other.wrong_oracle;
-  wrong_timestamp += other.wrong_timestamp;
-  duplicate += other.duplicate;
-  sketch_rejected += other.sketch_rejected;
-  return *this;
-}
-
-std::string IngestStats::ToString() const {
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "accepted=%llu malformed=%llu wrong_oracle=%llu "
-                "wrong_timestamp=%llu duplicate=%llu sketch_rejected=%llu",
-                static_cast<unsigned long long>(accepted),
-                static_cast<unsigned long long>(malformed),
-                static_cast<unsigned long long>(wrong_oracle),
-                static_cast<unsigned long long>(wrong_timestamp),
-                static_cast<unsigned long long>(duplicate),
-                static_cast<unsigned long long>(sketch_rejected));
-  return buf;
-}
 
 IngestShard::IngestShard(const FrequencyOracle& fo, const FoParams& params)
     : sketch_(fo.CreateSketch(params)) {}

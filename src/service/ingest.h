@@ -37,12 +37,17 @@
 #include "fo/frequency_oracle.h"
 #include "fo/report_arena.h"
 #include "fo/wire.h"
+#include "util/stat_table.h"
 #include "util/u64_set.h"
 
 namespace ldpids::service {
 
-// Per-round acceptance accounting, kept per shard and summed at close.
-struct IngestStats {
+// Per-round acceptance accounting, kept per shard and summed at close:
+// total() counts every packet the round was fed. The wire-level rejects
+// (malformed, wrong_oracle, wrong_timestamp) are the router's copy of its
+// ArenaDecodeStats, so only the arena's table publishes them; the ingest
+// series count the arena's decoded rows.
+struct IngestStats : util::StatTable<IngestStats> {
   uint64_t accepted = 0;
   uint64_t malformed = 0;
   uint64_t wrong_oracle = 0;
@@ -50,13 +55,20 @@ struct IngestStats {
   uint64_t duplicate = 0;
   uint64_t sketch_rejected = 0;
 
-  uint64_t total() const {
-    return accepted + malformed + wrong_oracle + wrong_timestamp +
-           duplicate + sketch_rejected;
-  }
-  uint64_t rejected() const { return total() - accepted; }
-  IngestStats& operator+=(const IngestStats& other);
-  std::string ToString() const;
+  static constexpr util::StatRow<IngestStats> kRows[] = {
+      {&IngestStats::accepted, "accepted", "ldpids_ingest_reports_total",
+       "result", util::StatKind::kPass},
+      {&IngestStats::malformed, "malformed", nullptr, nullptr,
+       util::StatKind::kDrop},
+      {&IngestStats::wrong_oracle, "wrong_oracle", nullptr, nullptr,
+       util::StatKind::kDrop},
+      {&IngestStats::wrong_timestamp, "wrong_timestamp", nullptr, nullptr,
+       util::StatKind::kDrop},
+      {&IngestStats::duplicate, "duplicate", "ldpids_ingest_reports_total",
+       "result", util::StatKind::kDrop},
+      {&IngestStats::sketch_rejected, "sketch_rejected",
+       "ldpids_ingest_reports_total", "result", util::StatKind::kDrop},
+  };
 };
 
 // One shard: nonce dedup in front of a FoSketch. Single-threaded.

@@ -352,11 +352,12 @@ MechanismSession::MechanismSession(
     if (!options_.metrics_label.empty()) {
       labels.emplace_back("session", options_.metrics_label);
     }
-    ingest_feed_ = std::make_unique<obs::IngestStatsFeed>(&reg, labels);
-    arena_feed_ = std::make_unique<obs::ArenaDecodeStatsFeed>(&reg, labels);
+    ingest_feed_ = std::make_unique<obs::StatsFeed<IngestStats>>(&reg, labels);
+    arena_feed_ =
+        std::make_unique<obs::StatsFeed<ArenaDecodeStats>>(&reg, labels);
     if (merge_source) {
       sketch_merge_feed_ =
-          std::make_unique<obs::SketchMergeStatsFeed>(&reg, labels);
+          std::make_unique<obs::StatsFeed<SketchMergeStats>>(&reg, labels);
     }
     rounds_counter_ = &reg.GetCounter("ldpids_session_rounds_total", labels);
     advances_counter_ =

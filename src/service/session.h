@@ -42,10 +42,9 @@
 namespace ldpids::obs {
 class MetricsRegistry;
 class Counter;
-class IngestStatsFeed;
-class ArenaDecodeStatsFeed;
-class SketchMergeStatsFeed;
 class FlightRecorder;
+template <typename Stats>
+class StatsFeed;
 }  // namespace ldpids::obs
 
 namespace ldpids::service {
@@ -278,9 +277,9 @@ class MechanismSession {
   // Metric feeds (all null when SessionOptions::metrics is; the sketch
   // merge feed exists only for source-built sessions). Published on the
   // session thread at claim time, so they need no locking of their own.
-  std::unique_ptr<obs::IngestStatsFeed> ingest_feed_;
-  std::unique_ptr<obs::ArenaDecodeStatsFeed> arena_feed_;
-  std::unique_ptr<obs::SketchMergeStatsFeed> sketch_merge_feed_;
+  std::unique_ptr<obs::StatsFeed<IngestStats>> ingest_feed_;
+  std::unique_ptr<obs::StatsFeed<ArenaDecodeStats>> arena_feed_;
+  std::unique_ptr<obs::StatsFeed<SketchMergeStats>> sketch_merge_feed_;
   obs::Counter* rounds_counter_ = nullptr;
   obs::Counter* advances_counter_ = nullptr;
 };

@@ -1,12 +1,10 @@
 #include "transport/frame.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,21 +21,20 @@ constexpr std::size_t kHeaderSize = 24;
 constexpr std::size_t kChecksumSize = 4;
 constexpr std::size_t kLengthOffset = 20;
 
-}  // namespace
+// Precise decode outcome at one stream offset. kIncomplete means "valid
+// so far, feed me more bytes"; every later value is a hard reject there.
+enum class FrameError : uint8_t {
+  kOk = 0,
+  kIncomplete,
+  kBadMagic,
+  kBadVersion,
+  kBadKind,
+  kOversize,           // declared payload length above kMaxFramePayload
+  kChecksumMismatch,
+  kBadControl,         // end-of-round payload is not exactly 8 bytes
+};
 
-const char* FrameErrorName(FrameError error) {
-  switch (error) {
-    case FrameError::kOk: return "ok";
-    case FrameError::kIncomplete: return "incomplete";
-    case FrameError::kBadMagic: return "bad magic";
-    case FrameError::kBadVersion: return "bad version";
-    case FrameError::kBadKind: return "bad kind";
-    case FrameError::kOversize: return "payload oversize";
-    case FrameError::kChecksumMismatch: return "checksum mismatch";
-    case FrameError::kBadControl: return "bad control payload";
-  }
-  return "?";
-}
+}  // namespace
 
 std::size_t EncodedFrameSize(std::size_t payload_size) {
   return kHeaderSize + payload_size + kChecksumSize;
@@ -100,12 +97,6 @@ void AppendEncodedFrame(const Frame& frame, std::vector<uint8_t>* out) {
   PutU32Le(out, WireChecksum(out->data() + start, out->size() - start));
 }
 
-std::vector<uint8_t> EncodeFrame(const Frame& frame) {
-  std::vector<uint8_t> out;
-  AppendEncodedFrame(frame, &out);
-  return out;
-}
-
 namespace {
 
 // Validates the fixed prefix field by field so corruption is detected at
@@ -113,8 +104,7 @@ namespace {
 // wait for bytes that never arrive. On kOk the frame is structurally
 // complete ([0, *total) buffered, prefix fields valid); the checksum and
 // the control-payload shape are NOT yet checked — they follow in exactly
-// that order, matching the classification of the original one-shot
-// decoder (a frame failing both counts as a checksum mismatch).
+// that order (a frame failing both counts as a checksum mismatch).
 FrameError ParseFrameShape(const uint8_t* data, std::size_t size,
                            std::size_t* total) {
   if (size < 1) return FrameError::kIncomplete;
@@ -140,8 +130,8 @@ bool ChecksumMatches(const uint8_t* data, std::size_t total) {
          WireChecksum(data, total - kChecksumSize);
 }
 
-// The checks after a frame's shape, in the original decoder's order: the
-// checksum verdict, then the control-payload shape.
+// The checks after a frame's shape, in order: the checksum verdict, then
+// the control-payload shape.
 FrameError CheckShapedFrame(const uint8_t* data, std::size_t total,
                             bool checksum_ok) {
   if (!checksum_ok) return FrameError::kChecksumMismatch;
@@ -159,23 +149,6 @@ void FillFrameHeader(const uint8_t* data, Frame* out) {
 }
 
 }  // namespace
-
-FrameError TryDecodeFrame(const uint8_t* data, std::size_t size, Frame* out,
-                          std::size_t* consumed) {
-  std::size_t total = 0;
-  FrameError err = ParseFrameShape(data, size, &total);
-  if (err == FrameError::kOk) {
-    err = CheckShapedFrame(data, total, ChecksumMatches(data, total));
-  }
-  if (err != FrameError::kOk) return err;
-  FillFrameHeader(data, out);
-  // The standalone decoder borrows nothing: the caller's buffer may die
-  // right after this returns, so the payload is copied into an owning ref.
-  out->payload = std::vector<uint8_t>(data + kHeaderSize,
-                                      data + total - kChecksumSize);
-  *consumed = total;
-  return FrameError::kOk;
-}
 
 void FrameDecoder::Append(const uint8_t* data, std::size_t size) {
   // An empty vector's data() may be null, and memcpy from null is undefined
@@ -301,46 +274,6 @@ bool FrameDecoder::Next(Frame* out) {
     ++stats_.skipped_bytes;
   }
   return false;
-}
-
-FrameStats& FrameStats::operator+=(const FrameStats& other) {
-  frames += other.frames;
-  data_frames += other.data_frames;
-  end_round_frames += other.end_round_frames;
-  partial_sketch_frames += other.partial_sketch_frames;
-  bytes += other.bytes;
-  bad_magic += other.bad_magic;
-  bad_version += other.bad_version;
-  bad_kind += other.bad_kind;
-  oversize += other.oversize;
-  checksum_mismatch += other.checksum_mismatch;
-  bad_control += other.bad_control;
-  skipped_bytes += other.skipped_bytes;
-  return *this;
-}
-
-std::string FrameStats::ToString() const {
-  char buf[240];
-  std::snprintf(
-      buf, sizeof(buf),
-      "frames=%llu (data=%llu end_round=%llu partial_sketch=%llu) "
-      "bytes=%llu errors=%llu "
-      "(magic=%llu version=%llu kind=%llu oversize=%llu checksum=%llu "
-      "control=%llu) skipped_bytes=%llu",
-      static_cast<unsigned long long>(frames),
-      static_cast<unsigned long long>(data_frames),
-      static_cast<unsigned long long>(end_round_frames),
-      static_cast<unsigned long long>(partial_sketch_frames),
-      static_cast<unsigned long long>(bytes),
-      static_cast<unsigned long long>(errors()),
-      static_cast<unsigned long long>(bad_magic),
-      static_cast<unsigned long long>(bad_version),
-      static_cast<unsigned long long>(bad_kind),
-      static_cast<unsigned long long>(oversize),
-      static_cast<unsigned long long>(checksum_mismatch),
-      static_cast<unsigned long long>(bad_control),
-      static_cast<unsigned long long>(skipped_bytes));
-  return buf;
 }
 
 }  // namespace ldpids::transport

@@ -20,10 +20,10 @@
 //   last 4      checksum of everything before it (fo/wire.h WireChecksum)
 //
 // Decoding is stream-oriented and defensive in the style of fo/wire.h's
-// `TryDecode*`: `TryDecodeFrame` is non-throwing and returns a typed
-// `FrameError`, and `FrameDecoder` reassembles frames from arbitrary read
-// chunks (split and merged TCP reads), resynchronizing past corrupt bytes
-// instead of crashing or trusting an unchecksummed byte.
+// `TryDecode*`: `FrameDecoder` never throws on stream content, reassembles
+// frames from arbitrary read chunks (split and merged TCP reads), and
+// resynchronizes past corrupt bytes instead of crashing or trusting an
+// unchecksummed byte, counting each rejected offset by its typed reason.
 //
 // Zero-copy: a decoded frame's payload is a PayloadRef aliasing the
 // decoder's pooled receive block (util/buffer_pool.h) — no per-frame
@@ -38,10 +38,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "util/buffer_pool.h"
+#include "util/stat_table.h"
 
 namespace ldpids::transport {
 
@@ -64,22 +64,6 @@ struct Frame {
   PayloadRef payload;
 };
 
-// Precise decode outcome. kOk is 0 so results can be truth-tested;
-// kIncomplete means "valid so far, feed me more bytes", every later value
-// is a hard reject at the current offset.
-enum class FrameError : uint8_t {
-  kOk = 0,
-  kIncomplete,         // prefix valid but the frame is not fully buffered
-  kBadMagic,
-  kBadVersion,
-  kBadKind,
-  kOversize,           // declared payload length above the decoder's limit
-  kChecksumMismatch,
-  kBadControl,         // end-of-round payload is not exactly 8 bytes
-};
-
-const char* FrameErrorName(FrameError error);
-
 // Hard ceiling on payload bytes a decoder will buffer for one frame; a
 // garbage length field must not turn into an unbounded allocation.
 constexpr std::size_t kMaxFramePayload = std::size_t{1} << 20;
@@ -97,24 +81,19 @@ Frame MakePartialSketchFrame(uint64_t session_id, uint64_t timestamp,
 
 // Data-frame count carried by an end-of-round marker. Throws
 // std::invalid_argument on a non-marker frame (a decoded marker is always
-// well-formed; TryDecodeFrame validates the payload shape).
+// well-formed; FrameDecoder validates the payload shape).
 uint64_t EndRoundExpected(const Frame& frame);
 
 // Appends the encoded frame to `*out` (batched writers fill one buffer
 // with many frames before a single send/write). Throws
 // std::invalid_argument if the payload exceeds kMaxFramePayload.
 void AppendEncodedFrame(const Frame& frame, std::vector<uint8_t>* out);
-std::vector<uint8_t> EncodeFrame(const Frame& frame);
-
-// Attempts to decode one frame from the start of [data, data + size).
-// On kOk, `*out` holds the frame and `*consumed` the encoded size.
-// On kIncomplete, nothing is consumed: append more bytes and retry.
-// On any other error, the byte at offset 0 is bad; skip it and rescan.
-FrameError TryDecodeFrame(const uint8_t* data, std::size_t size, Frame* out,
-                          std::size_t* consumed);
 
 // Per-stream decode accounting (one decoder = one connection or one log).
-struct FrameStats {
+// Each rejected offset is one drop by its reason and one skipped byte, so
+// drops() == skipped_bytes, and bytes + skipped_bytes + pending bytes is
+// everything the decoder was fed.
+struct FrameStats : util::StatTable<FrameStats> {
   uint64_t frames = 0;           // well-formed frames delivered
   uint64_t data_frames = 0;
   uint64_t end_round_frames = 0;
@@ -123,20 +102,39 @@ struct FrameStats {
   uint64_t bad_magic = 0;        // resync skips by first bad byte's reason
   uint64_t bad_version = 0;
   uint64_t bad_kind = 0;
-  uint64_t oversize = 0;
+  uint64_t oversize = 0;         // declared payload above kMaxFramePayload
   uint64_t checksum_mismatch = 0;
-  uint64_t bad_control = 0;
+  uint64_t bad_control = 0;      // end-of-round payload not exactly 8 bytes
   uint64_t skipped_bytes = 0;    // total bytes discarded while resyncing
 
-  uint64_t errors() const {
-    return bad_magic + bad_version + bad_kind + oversize +
-           checksum_mismatch + bad_control;
-  }
-  // Every decode outcome: delivered frames plus resync skips by reason
-  // (aggregation parity with the service-side stats structs).
-  uint64_t total() const { return frames + errors(); }
-  FrameStats& operator+=(const FrameStats& other);
-  std::string ToString() const;
+  static constexpr util::StatRow<FrameStats> kRows[] = {
+      {&FrameStats::frames, "frames", "ldpids_frame_frames_total", nullptr,
+       util::StatKind::kPass},
+      {&FrameStats::data_frames, "data_frames",
+       "ldpids_frame_data_frames_total", nullptr, util::StatKind::kDetail},
+      {&FrameStats::end_round_frames, "end_round_frames",
+       "ldpids_frame_end_round_frames_total", nullptr,
+       util::StatKind::kDetail},
+      {&FrameStats::partial_sketch_frames, "partial_sketch_frames",
+       "ldpids_frame_partial_sketch_frames_total", nullptr,
+       util::StatKind::kDetail},
+      {&FrameStats::bytes, "bytes", "ldpids_frame_bytes_total", nullptr,
+       util::StatKind::kDetail},
+      {&FrameStats::bad_magic, "bad_magic", "ldpids_frame_errors_total",
+       "reason", util::StatKind::kDrop},
+      {&FrameStats::bad_version, "bad_version", "ldpids_frame_errors_total",
+       "reason", util::StatKind::kDrop},
+      {&FrameStats::bad_kind, "bad_kind", "ldpids_frame_errors_total",
+       "reason", util::StatKind::kDrop},
+      {&FrameStats::oversize, "oversize", "ldpids_frame_errors_total",
+       "reason", util::StatKind::kDrop},
+      {&FrameStats::checksum_mismatch, "checksum_mismatch",
+       "ldpids_frame_errors_total", "reason", util::StatKind::kDrop},
+      {&FrameStats::bad_control, "bad_control", "ldpids_frame_errors_total",
+       "reason", util::StatKind::kDrop},
+      {&FrameStats::skipped_bytes, "skipped_bytes",
+       "ldpids_frame_skipped_bytes_total", nullptr, util::StatKind::kDetail},
+  };
 };
 
 // Incremental frame reassembly over a byte stream. Feed it whatever the

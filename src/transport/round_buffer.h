@@ -71,11 +71,14 @@
 
 #include "service/session.h"
 #include "transport/frame.h"
+#include "util/stat_table.h"
 #include "util/u64_set.h"
 
 namespace ldpids::obs {
+class Gauge;
 class MetricsRegistry;
-class RoundBufferStatsFeed;
+template <typename Stats>
+class StatsFeed;
 }  // namespace ldpids::obs
 
 namespace ldpids::transport {
@@ -98,9 +101,12 @@ enum class DeliverResult : uint8_t {
   kTooEarly,     // beyond max_buffered_rounds ahead of the next round
 };
 
-const char* DeliverResultName(DeliverResult result);
-
-struct RoundBufferStats {
+// Admission outcomes: each delivered frame lands in exactly one of
+// buffered / end_markers / the three drops, so total() counts every
+// Deliver call. Buffered frames leave through TakeRound (packets_drained);
+// duplicate_frames is a subset of buffered and masked_losses of
+// deadline_flushes.
+struct RoundBufferStats : util::StatTable<RoundBufferStats> {
   uint64_t buffered = 0;          // data frames queued
   uint64_t end_markers = 0;       // markers seen (including repeats)
   uint64_t closed_round_drops = 0;
@@ -117,15 +123,33 @@ struct RoundBufferStats {
   // pre-distinct accounting would have released as "complete".
   uint64_t masked_losses = 0;
 
-  uint64_t dropped() const {
-    return closed_round_drops + too_late_drops + too_early_drops;
-  }
-  // Every admission outcome: each delivered frame lands in exactly one of
-  // buffered / end_markers / dropped() (duplicate_frames is a subset of
-  // buffered, masked_losses of deadline_flushes — neither adds here).
-  uint64_t total() const { return buffered + end_markers + dropped(); }
-  RoundBufferStats& operator+=(const RoundBufferStats& other);
-  std::string ToString() const;
+  static constexpr util::StatRow<RoundBufferStats> kRows[] = {
+      {&RoundBufferStats::buffered, "buffered",
+       "ldpids_roundbuf_buffered_total", nullptr, util::StatKind::kPass},
+      {&RoundBufferStats::end_markers, "end_markers",
+       "ldpids_roundbuf_end_markers_total", nullptr, util::StatKind::kPass},
+      {&RoundBufferStats::closed_round_drops, "closed_round",
+       "ldpids_roundbuf_drops_total", "reason", util::StatKind::kDrop},
+      {&RoundBufferStats::too_late_drops, "too_late",
+       "ldpids_roundbuf_drops_total", "reason", util::StatKind::kDrop},
+      {&RoundBufferStats::too_early_drops, "too_early",
+       "ldpids_roundbuf_drops_total", "reason", util::StatKind::kDrop},
+      {&RoundBufferStats::rounds_drained, "rounds_drained",
+       "ldpids_roundbuf_rounds_drained_total", nullptr,
+       util::StatKind::kDetail},
+      {&RoundBufferStats::packets_drained, "packets_drained",
+       "ldpids_roundbuf_packets_drained_total", nullptr,
+       util::StatKind::kDetail},
+      {&RoundBufferStats::deadline_flushes, "deadline_flushes",
+       "ldpids_roundbuf_deadline_flushes_total", nullptr,
+       util::StatKind::kDetail},
+      {&RoundBufferStats::duplicate_frames, "duplicate_frames",
+       "ldpids_roundbuf_duplicate_frames_total", nullptr,
+       util::StatKind::kDetail},
+      {&RoundBufferStats::masked_losses, "masked_losses",
+       "ldpids_roundbuf_masked_losses_total", nullptr,
+       util::StatKind::kDetail},
+  };
 };
 
 class RoundBuffer {
@@ -136,9 +160,9 @@ class RoundBuffer {
   // Observability (optional): publishes this buffer's cumulative stats to
   // the canonical ldpids_roundbuf_* metrics — labeled {session=label}
   // when `label` is non-empty — once per drained round (at the end of
-  // TakeRound), plus the pending-rounds gauge. Registry must outlive the
-  // buffer. Publication is write-only: admission and draining behave
-  // identically with or without it.
+  // TakeRound), plus the ldpids_roundbuf_pending_rounds gauge. Registry
+  // must outlive the buffer. Publication is write-only: admission and
+  // draining behave identically with or without it.
   void AttachMetrics(obs::MetricsRegistry* registry,
                      const std::string& label = {});
 
@@ -191,7 +215,8 @@ class RoundBuffer {
   std::size_t last_round_packets_ = 0;  // packets the last drained round held
   RoundBufferStats stats_;
   // Written under mu_ from the draining (session) side only.
-  std::unique_ptr<obs::RoundBufferStatsFeed> metrics_feed_;
+  std::unique_ptr<obs::StatsFeed<RoundBufferStats>> metrics_feed_;
+  obs::Gauge* pending_gauge_ = nullptr;
 };
 
 // Routes frames to per-session RoundBuffers by Frame::session_id: one

@@ -23,7 +23,7 @@
 
 #include "obs/stage_trace.h"
 #include "obs/stats_feed.h"
-#include "transport/socket_util.h"
+#include "util/socket_util.h"
 
 namespace ldpids::transport {
 
@@ -43,7 +43,7 @@ void AddToEpoll(int epoll_fd, int fd, void* tag) {
   event.events = EPOLLIN;
   event.data.ptr = tag;
   if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) < 0) {
-    ThrowErrno("epoll_ctl");
+    util::ThrowErrno("epoll_ctl");
   }
 }
 
@@ -61,16 +61,16 @@ SocketListener::SocketListener(uint16_t port, FrameHandler handler)
   if (!handler_) {
     throw std::invalid_argument("listener needs a frame handler");
   }
-  listen_fd_ = BindLoopbackListener(port, &port_);
+  listen_fd_ = util::BindLoopbackListener(port, &port_);
   try {
     const int flags = ::fcntl(listen_fd_, F_GETFL);
     if (flags < 0 || ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
-      ThrowErrno("fcntl O_NONBLOCK");
+      util::ThrowErrno("fcntl O_NONBLOCK");
     }
     wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (wake_fd_ < 0) ThrowErrno("eventfd");
+    if (wake_fd_ < 0) util::ThrowErrno("eventfd");
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) ThrowErrno("epoll_create1");
+    if (epoll_fd_ < 0) util::ThrowErrno("epoll_create1");
     // The two control fds are tagged by their member's address; every
     // other event's tag is the Connection it belongs to.
     AddToEpoll(epoll_fd_, listen_fd_, &listen_fd_);
@@ -98,7 +98,7 @@ void SocketListener::AttachMetrics(obs::MetricsRegistry* registry,
   decode_hist_ =
       &registry->GetHistogram(obs::kStageDurationMetric, labels);
   metrics_feed_ =
-      std::make_unique<obs::FrameStatsFeed>(registry, feed_labels);
+      std::make_unique<obs::StatsFeed<FrameStats>>(registry, feed_labels);
 }
 
 void SocketListener::Loop() {
@@ -217,7 +217,7 @@ void SocketListener::Retire(Connection* conn) {
 
 void SocketListener::Stop() {
   if (!loop_thread_.joinable()) return;  // Stop then destructor
-  if (::eventfd_write(wake_fd_, 1) < 0) ThrowErrno("eventfd_write");
+  if (::eventfd_write(wake_fd_, 1) < 0) util::ThrowErrno("eventfd_write");
   loop_thread_.join();
   CloseFd(&epoll_fd_);
   CloseFd(&wake_fd_);
@@ -242,7 +242,7 @@ uint64_t SocketListener::connections() const {
 SocketClient::SocketClient(uint16_t port, std::size_t flush_bytes)
     : flush_bytes_(flush_bytes) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) ThrowErrno("socket");
+  if (fd_ < 0) util::ThrowErrno("socket");
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr{};
@@ -253,7 +253,7 @@ SocketClient::SocketClient(uint16_t port, std::size_t flush_bytes)
                 sizeof(addr)) < 0) {
     ::close(fd_);
     fd_ = -1;
-    ThrowErrno("connect 127.0.0.1");
+    util::ThrowErrno("connect 127.0.0.1");
   }
   buffer_.reserve(flush_bytes_ + kMaxFramePayload);
 }
@@ -278,7 +278,7 @@ void SocketClient::Send(const Frame& frame) {
 
 void SocketClient::Flush() {
   if (fd_ < 0 || buffer_.empty()) return;
-  SendAll(fd_, buffer_.data(), buffer_.size());
+  util::SendAll(fd_, buffer_.data(), buffer_.size());
   buffer_.clear();
 }
 

@@ -37,7 +37,8 @@
 namespace ldpids::obs {
 class MetricsRegistry;
 class Histogram;
-class FrameStatsFeed;
+template <typename Stats>
+class StatsFeed;
 }  // namespace ldpids::obs
 
 namespace ldpids::transport {
@@ -103,7 +104,7 @@ class SocketListener {
   // histogram under mu_ as it accepts each connection and records into it
   // lock-free; the feed is only touched at connection close, under mu_.
   obs::Histogram* decode_hist_ = nullptr;
-  std::unique_ptr<obs::FrameStatsFeed> metrics_feed_;
+  std::unique_ptr<obs::StatsFeed<FrameStats>> metrics_feed_;
 
   // Last: the loop uses every member above.
   std::thread loop_thread_;

@@ -1,4 +1,4 @@
-#include "transport/socket_util.h"
+#include "util/socket_util.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <string>
 
-namespace ldpids::transport {
+namespace ldpids::util {
 
 void ThrowErrno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -57,4 +57,4 @@ int BindLoopbackListener(uint16_t port, uint16_t* bound_port) {
   return fd;
 }
 
-}  // namespace ldpids::transport
+}  // namespace ldpids::util

@@ -1,17 +1,18 @@
 // Small shared POSIX socket helpers used by both the frame transport
 // (transport/socket.cc) and the observability scrape server
-// (obs/http_server.cc): errno-to-exception reporting, full-buffer send,
-// and loopback listener setup with ephemeral-port resolution. Kept tiny
-// on purpose — both servers own their event loop or threads themselves;
-// only the syscall boilerplate is worth sharing.
-#ifndef LDPIDS_TRANSPORT_SOCKET_UTIL_H_
-#define LDPIDS_TRANSPORT_SOCKET_UTIL_H_
+// (obs/http_server.cc), so neither layer includes the other:
+// errno-to-exception reporting, full-buffer send, and loopback listener
+// setup with ephemeral-port resolution. Kept tiny on purpose — both
+// servers own their event loop or threads themselves; only the syscall
+// boilerplate is worth sharing.
+#ifndef LDPIDS_UTIL_SOCKET_UTIL_H_
+#define LDPIDS_UTIL_SOCKET_UTIL_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-namespace ldpids::transport {
+namespace ldpids::util {
 
 // Throws std::runtime_error("<what>: <strerror(errno)>").
 [[noreturn]] void ThrowErrno(const std::string& what);
@@ -27,6 +28,6 @@ void SendAll(int fd, const uint8_t* data, std::size_t size);
 // (the fd is closed before throwing).
 int BindLoopbackListener(uint16_t port, uint16_t* bound_port);
 
-}  // namespace ldpids::transport
+}  // namespace ldpids::util
 
-#endif  // LDPIDS_TRANSPORT_SOCKET_UTIL_H_
+#endif  // LDPIDS_UTIL_SOCKET_UTIL_H_

@@ -425,7 +425,7 @@ TEST(HttpServerTest, ConcurrentScrapingPinsReleasesBitIdentical) {
 
 // /statusz's reports/s column is the slope of each session's accepted
 // series, the same series its reports column reads. Every session
-// registers all six ldpids_ingest_reports_total result series, and only
+// registers all three ldpids_ingest_reports_total result series, and only
 // the accepted one moves, so any other series read in its place shows
 // 0.0.
 TEST(ScrapeEndpointTest, StatuszReportsRateReadsTheAcceptedSeries) {
@@ -443,7 +443,8 @@ TEST(ScrapeEndpointTest, StatuszReportsRateReadsTheAcceptedSeries) {
                                           {"pipeline", "1"},
                                           {"shards", "1"}})
         .Set(1);
-    obs::IngestStatsFeed feed(&registry, {{"session", session}});
+    obs::StatsFeed<service::IngestStats> feed(&registry,
+                                              {{"session", session}});
   }
   HttpRequest statusz;
   statusz.method = "GET";

@@ -677,6 +677,48 @@ std::vector<std::pair<uint64_t, uint64_t>> TraceSlices(
   return slices;
 }
 
+// An aggregator node publishes each drop in one series, like a session:
+// the arena's wire-level rejects under ldpids_arena_rejects_total, and
+// under ldpids_ingest_reports_total only the rows the arena decoded.
+TEST(MergeTreeTest, NodeMetricsCountEachDropOnce) {
+  constexpr uint64_t kUsers = 200;
+  const ClientFleet fleet(kUsers, TruthValue, kFleetSeed);
+  obs::MetricsRegistry registry;
+  AggregatorOptions opts;
+  opts.metrics = &registry;
+  opts.metrics_label = "leaf";
+  AggregatorNode node(GetFrequencyOracle("OUE"), OracleId::kOue, kDomain,
+                      opts);
+  // Every 8th report arrives with a byte flipped.
+  const service::RoundTransport ingest = fleet.Transport(
+      1, [](std::vector<uint8_t>& packet, uint64_t user, uint64_t) {
+        if (user % 8 == 0) packet[packet.size() / 2] ^= 0x5A;
+        return true;
+      });
+  RoundRequest request;
+  request.epsilon = kEpsilon;
+  request.domain = kDomain;
+  request.oracle = OracleId::kOue;
+  service::IngestStats stats;
+  (void)node.RunRoundToPartial(request, ingest, &stats);
+  EXPECT_EQ(stats.malformed, kUsers / 8);
+  EXPECT_EQ(stats.accepted, kUsers - kUsers / 8);
+
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  auto count = [&](const char* series, obs::Labels labels) {
+    labels.emplace_back("node", "leaf");
+    const obs::CounterSample* c = snap.FindCounter(series, labels);
+    return c == nullptr ? ~0ull : c->value;
+  };
+  EXPECT_EQ(count("ldpids_arena_rejects_total", {{"reason", "malformed"}}),
+            stats.malformed);
+  EXPECT_EQ(count("ldpids_arena_decoded_total", {}), stats.accepted);
+  EXPECT_EQ(count("ldpids_ingest_reports_total", {{"result", "accepted"}}),
+            stats.accepted);
+  EXPECT_EQ(count("ldpids_ingest_reports_total", {{"result", "malformed"}}),
+            ~0ull);
+}
+
 // A root runs no arena decode, shard fold or shard merge: each claimed
 // round traces as transport_rtt (the wait for the partials) and
 // sketch_merge, and nothing else — no [0, 0] window that would drag the

@@ -12,11 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include "fo/report_arena.h"
+#include "fo/wire.h"
 #include "obs/build_info.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stage_trace.h"
 #include "obs/stats_feed.h"
+#include "service/ingest.h"
+#include "transport/frame.h"
+#include "transport/round_buffer.h"
 #include "util/simd/avx512.h"
 #include "util/simd/simd.h"
 
@@ -302,7 +307,7 @@ TEST(BuildInfoTest, SimdBackendNameNamesTheKernelsThatRun) {
 
 TEST(StatsFeedTest, FrameFeedAddsDeltas) {
   MetricsRegistry registry;
-  FrameStatsFeed feed(&registry, {{"session", "t"}});
+  StatsFeed<transport::FrameStats> feed(&registry, {{"session", "t"}});
   transport::FrameStats s;
   s.frames = 10;
   s.data_frames = 9;
@@ -334,9 +339,12 @@ TEST(StatsFeedTest, FrameFeedAddsDeltas) {
             0u);
 }
 
+// The ingest series count the arena's decoded rows: the wire-level
+// rejects IngestStats copies from the arena are published only under
+// ldpids_arena_rejects_total, so each drop has one series.
 TEST(StatsFeedTest, IngestFeedResultLabels) {
   MetricsRegistry registry;
-  IngestStatsFeed feed(&registry);
+  StatsFeed<service::IngestStats> feed(&registry);
   service::IngestStats s;
   s.accepted = 100;
   s.duplicate = 4;
@@ -356,11 +364,47 @@ TEST(StatsFeedTest, IngestFeedResultLabels) {
                              {{"result", "sketch_rejected"}})
                 ->value,
             0u);
+  for (const char* copied : {"malformed", "wrong_oracle", "wrong_timestamp"}) {
+    EXPECT_EQ(snap.FindCounter("ldpids_ingest_reports_total",
+                               {{"result", copied}}),
+              nullptr)
+        << copied;
+  }
+  EXPECT_EQ(snap.counters.size(), 3u);
 }
 
-TEST(StatsFeedTest, RoundBufferFeedIdempotentPublishGaugeAndDropReasons) {
+// Wire-error reasons are snake_case and spelled like the frame decoder's
+// reason for the same failure.
+TEST(StatsFeedTest, ArenaWireErrorsShareTheFrameReasonNames) {
   MetricsRegistry registry;
-  RoundBufferStatsFeed feed(&registry, {{"session", "rb"}});
+  StatsFeed<ArenaDecodeStats> arena_feed(&registry);
+  StatsFeed<transport::FrameStats> frame_feed(&registry);
+  ArenaDecodeStats s;
+  s.malformed = 3;
+  ++s.wire_error(WireError::kBadMagic);
+  ++s.wire_error(WireError::kBadVersion);
+  ++s.wire_error(WireError::kChecksumMismatch);
+  arena_feed.Add(s);
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.FindCounter("ldpids_arena_rejects_total",
+                             {{"reason", "malformed"}})
+                ->value,
+            3u);
+  for (const WireError e : {WireError::kBadMagic, WireError::kBadVersion,
+                            WireError::kChecksumMismatch}) {
+    const Labels reason{{"reason", WireErrorName(e)}};
+    ASSERT_NE(snap.FindCounter("ldpids_frame_errors_total", reason), nullptr)
+        << WireErrorName(e);
+    EXPECT_EQ(snap.FindCounter("ldpids_arena_wire_errors_total", reason)
+                  ->value,
+              1u)
+        << WireErrorName(e);
+  }
+}
+
+TEST(StatsFeedTest, RoundBufferFeedIdempotentPublishAndDropReasons) {
+  MetricsRegistry registry;
+  StatsFeed<transport::RoundBufferStats> feed(&registry, {{"session", "rb"}});
   transport::RoundBufferStats s;
   s.buffered = 40;
   s.end_markers = 2;
@@ -372,7 +416,6 @@ TEST(StatsFeedTest, RoundBufferFeedIdempotentPublishGaugeAndDropReasons) {
   s.buffered = 50;
   s.packets_drained = 47;
   feed.Publish(s);
-  feed.SetPending(5);
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.FindCounter("ldpids_roundbuf_buffered_total",
                              {{"session", "rb"}})
@@ -386,9 +429,29 @@ TEST(StatsFeedTest, RoundBufferFeedIdempotentPublishGaugeAndDropReasons) {
                              {{"session", "rb"}, {"reason", "closed_round"}})
                 ->value,
             3u);
+  EXPECT_TRUE(snap.gauges.empty());
+}
+
+// The pending-rounds gauge is the buffer's own: each drained round sets it
+// to the rounds still buffered.
+TEST(StatsFeedTest, RoundBufferPublishesPendingRoundsOnDrain) {
+  MetricsRegistry registry;
+  transport::RoundBuffer buffer;
+  buffer.AttachMetrics(&registry, "rb");
+  buffer.Deliver(transport::MakeEndRoundFrame(1, 0, 1));
+  for (uint64_t round = 0; round < 6; ++round) {
+    buffer.Deliver(transport::MakeDataFrame(1, round, {7, 7, 7}));
+  }
+  ASSERT_EQ(buffer.TakeRound(0).size(), 1u);
+  EXPECT_EQ(buffer.stats().deadline_flushes, 0u);
+  const MetricsSnapshot snap = registry.Snapshot();
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].name, "ldpids_roundbuf_pending_rounds");
   EXPECT_EQ(snap.gauges[0].value, 5);
+  EXPECT_EQ(snap.FindCounter("ldpids_roundbuf_buffered_total",
+                             {{"session", "rb"}})
+                ->value,
+            6u);
 }
 
 }  // namespace

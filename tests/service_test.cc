@@ -115,7 +115,7 @@ TEST(RouterTest, CountsEveryRejectionReasonWithoutThrowing) {
     EXPECT_EQ(stats.wrong_oracle, 1u) << "shards=" << shards;
     EXPECT_EQ(stats.wrong_timestamp, 1u) << "shards=" << shards;
     EXPECT_EQ(stats.total(), 4u) << "shards=" << shards;
-    EXPECT_EQ(stats.rejected(), 3u) << "shards=" << shards;
+    EXPECT_EQ(stats.drops(), 3u) << "shards=" << shards;
   }
 }
 
@@ -367,7 +367,7 @@ TEST(MechanismSessionTest, EveryMechanismServesOnlineEndToEnd) {
     // The server only saw wire packets; every accepted report is counted.
     EXPECT_GT(session->rounds(), 0u) << name;
     EXPECT_GT(session->stats().accepted, 0u) << name;
-    EXPECT_EQ(session->stats().rejected(), 0u) << name;
+    EXPECT_EQ(session->stats().drops(), 0u) << name;
   }
 }
 
@@ -410,7 +410,7 @@ TEST(MechanismSessionTest, NonGrrOraclesServeOnline) {
       const StepResult step = session->Advance();
       ASSERT_EQ(step.release.size(), kDomain) << fo;
     }
-    EXPECT_EQ(session->stats().rejected(), 0u) << fo;
+    EXPECT_EQ(session->stats().drops(), 0u) << fo;
   }
 }
 

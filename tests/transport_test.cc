@@ -81,18 +81,23 @@ MechanismConfig SessionConfig(const std::string& fo) {
 
 // --- frame codec ----------------------------------------------------------
 
+// Encodes `frame` and decodes it back through a fresh FrameDecoder.
+bool RoundTrip(const Frame& frame, Frame* out, std::vector<uint8_t>* bytes) {
+  transport::AppendEncodedFrame(frame, bytes);
+  FrameDecoder decoder;
+  decoder.Append(*bytes);
+  const bool decoded = decoder.Next(out);
+  EXPECT_EQ(decoder.pending_bytes(), 0u);
+  return decoded;
+}
+
 TEST(FrameCodecTest, DataFrameRoundTrips) {
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   const Frame frame = MakeDataFrame(7, 42, payload);
-  const auto bytes = transport::EncodeFrame(frame);
-  EXPECT_EQ(bytes.size(), transport::EncodedFrameSize(payload.size()));
-
+  std::vector<uint8_t> bytes;
   Frame decoded;
-  std::size_t consumed = 0;
-  ASSERT_EQ(transport::TryDecodeFrame(bytes.data(), bytes.size(), &decoded,
-                                      &consumed),
-            transport::FrameError::kOk);
-  EXPECT_EQ(consumed, bytes.size());
+  ASSERT_TRUE(RoundTrip(frame, &decoded, &bytes));
+  EXPECT_EQ(bytes.size(), transport::EncodedFrameSize(payload.size()));
   EXPECT_EQ(decoded.session_id, 7u);
   EXPECT_EQ(decoded.timestamp, 42u);
   EXPECT_EQ(decoded.kind, FrameKind::kData);
@@ -102,12 +107,9 @@ TEST(FrameCodecTest, DataFrameRoundTrips) {
 TEST(FrameCodecTest, EndRoundMarkerCarriesTheExpectedCount) {
   const Frame marker = MakeEndRoundFrame(9, 3, 12345);
   EXPECT_EQ(transport::EndRoundExpected(marker), 12345u);
-  const auto bytes = transport::EncodeFrame(marker);
+  std::vector<uint8_t> bytes;
   Frame decoded;
-  std::size_t consumed = 0;
-  ASSERT_EQ(transport::TryDecodeFrame(bytes.data(), bytes.size(), &decoded,
-                                      &consumed),
-            transport::FrameError::kOk);
+  ASSERT_TRUE(RoundTrip(marker, &decoded, &bytes));
   EXPECT_EQ(decoded.kind, FrameKind::kEndRound);
   EXPECT_EQ(transport::EndRoundExpected(decoded), 12345u);
   EXPECT_THROW(transport::EndRoundExpected(MakeDataFrame(1, 1, {})),
@@ -123,13 +125,14 @@ TEST(FrameCodecTest, OversizePayloadIsRejectedAtBothEnds) {
 
   // A forged length field above the cap must be a typed reject, not an
   // attempted 4 GiB allocation.
-  auto bytes = transport::EncodeFrame(MakeDataFrame(1, 1, {9, 9, 9}));
+  std::vector<uint8_t> bytes;
+  transport::AppendEncodedFrame(MakeDataFrame(1, 1, {9, 9, 9}), &bytes);
   bytes[22] = 0xFF;  // payload length bytes 20-23
+  FrameDecoder decoder;
+  decoder.Append(bytes);
   Frame decoded;
-  std::size_t consumed = 0;
-  EXPECT_EQ(transport::TryDecodeFrame(bytes.data(), bytes.size(), &decoded,
-                                      &consumed),
-            transport::FrameError::kOversize);
+  EXPECT_FALSE(decoder.Next(&decoded));
+  EXPECT_EQ(decoder.stats().oversize, 1u);
 }
 
 // Batching senders append thousands of frames to one buffer; an exact
@@ -188,7 +191,7 @@ TEST(FrameDecoderTest, SplitAndMergedReadsYieldTheSameFrames) {
     }
     EXPECT_EQ(count, sent.size()) << "mode " << mode;
     EXPECT_EQ(decoder.stats().frames, sent.size());
-    EXPECT_EQ(decoder.stats().errors(), 0u);
+    EXPECT_EQ(decoder.stats().drops(), 0u);
     EXPECT_EQ(decoder.pending_bytes(), 0u);
   }
 }
@@ -210,7 +213,7 @@ TEST(FrameDecoderTest, ResynchronizesPastCorruptionAndCountsIt) {
   // Every frame except the corrupted one survives.
   EXPECT_EQ(timestamps,
             (std::vector<uint64_t>{0, 1, 2, 3, 5, 6, 7, 8, 9}));
-  EXPECT_GT(decoder.stats().errors(), 0u);
+  EXPECT_GT(decoder.stats().drops(), 0u);
   EXPECT_GT(decoder.stats().skipped_bytes, 0u);
 }
 
@@ -243,7 +246,7 @@ TEST(RoundBufferTest, EarlyRoundsAreHeldUntilTheirTurn) {
   EXPECT_EQ(buffer.next_round(), 2u);
   EXPECT_EQ(buffer.stats().rounds_drained, 2u);
   EXPECT_EQ(buffer.stats().packets_drained, 5u);
-  EXPECT_EQ(buffer.stats().dropped(), 0u);
+  EXPECT_EQ(buffer.stats().drops(), 0u);
 }
 
 TEST(RoundBufferTest, StragglersAfterTheMarkerStillCount) {
@@ -436,7 +439,7 @@ TEST(BatchFileTest, WriteThenReplayReproducesEveryFrame) {
       /*chunk_bytes=*/7);  // deliberately tiny reads
   ASSERT_EQ(replayed.size(), 26u);
   EXPECT_EQ(stats.frames, 26u);
-  EXPECT_EQ(stats.errors(), 0u);
+  EXPECT_EQ(stats.drops(), 0u);
   for (std::size_t i = 0; i < sent.size(); ++i) {
     EXPECT_EQ(replayed[i].timestamp, sent[i].timestamp);
     EXPECT_EQ(replayed[i].payload, sent[i].payload);
@@ -466,7 +469,7 @@ TEST(BatchFileTest, CorruptedLogDegradesToTypedStatsNotACrash) {
   const FrameStats stats =
       transport::ReplayFrameLog(path, [&](Frame&&) { ++count; });
   EXPECT_EQ(count, 9u);  // the frame the flip landed in is lost
-  EXPECT_GT(stats.errors(), 0u);
+  EXPECT_GT(stats.drops(), 0u);
 }
 
 // --- socket transport -----------------------------------------------------
@@ -506,7 +509,7 @@ TEST(SocketTest, FramesSurviveTheLoopbackIntact) {
     EXPECT_EQ(received[i].session_id, 3u);
   }
   EXPECT_EQ(listener.stats().frames, 200u);
-  EXPECT_EQ(listener.stats().errors(), 0u);
+  EXPECT_EQ(listener.stats().drops(), 0u);
   EXPECT_EQ(listener.connections(), 1u);
 }
 
@@ -717,11 +720,11 @@ TEST_P(TransportEquivalenceTest,
     EXPECT_EQ(buffer.stats().duplicate_frames, dupes_sent) << fo_name;
     EXPECT_EQ(buffer.stats().masked_losses, 0u);
     EXPECT_EQ(buffer.stats().deadline_flushes, 0u);
-    EXPECT_EQ(buffer.stats().dropped(), 0u);
+    EXPECT_EQ(buffer.stats().drops(), 0u);
     recorder.Close();
     socket_sender.Close();
     listener.Stop();
-    EXPECT_EQ(listener.stats().errors(), 0u);
+    EXPECT_EQ(listener.stats().drops(), 0u);
   }
   EXPECT_EQ(via_socket, expected) << fo_name;
 
@@ -736,7 +739,7 @@ TEST_P(TransportEquivalenceTest,
     RoundBuffer buffer(replay_options);
     const FrameStats stats = transport::ReplayFrameLog(
         log_path, [&](Frame&& f) { buffer.Deliver(std::move(f)); });
-    EXPECT_EQ(stats.errors(), 0u);
+    EXPECT_EQ(stats.drops(), 0u);
 
     MechanismSession session(
         CreateMechanism("LBA", SessionConfig(fo_name), kUsers), kDomain,
@@ -845,9 +848,9 @@ TEST_P(MultiConnectionTest, FourStripedConnectionsMatchOneBitForBit) {
     EXPECT_EQ(bstats.duplicate_frames + stragglers, dupes_sent) << fo_name;
     EXPECT_EQ(bstats.deadline_flushes, 0u);
     EXPECT_EQ(bstats.masked_losses, 0u);
-    EXPECT_EQ(bstats.dropped(), stragglers);
+    EXPECT_EQ(bstats.drops(), stragglers);
     EXPECT_EQ(listener.connections(), kConnections);
-    EXPECT_EQ(listener.stats().errors(), 0u);
+    EXPECT_EQ(listener.stats().drops(), 0u);
   }
   EXPECT_EQ(via_sockets, expected) << fo_name;
 }
@@ -895,7 +898,7 @@ TEST(FrameDecoderPoolTest, PayloadsPinBlocksAndBlocksRecycle) {
       ASSERT_EQ(held[i], sent[i]) << "round " << round << " frame " << i;
     }
   }
-  EXPECT_EQ(decoder.stats().errors(), 0u);
+  EXPECT_EQ(decoder.stats().drops(), 0u);
   // Steady state is a small ring of recycled blocks, not one per chunk.
   EXPECT_LE(decoder.pool().allocated_blocks(), 8u);
   EXPECT_GT(decoder.pool().reused_blocks(), 0u);

@@ -105,7 +105,7 @@ TEST(WireTest, DetectsBitFlips) {
     EXPECT_EQ(TryDecodeReport(corrupted, 16, &report), want)
         << "byte " << i;
   }
-  EXPECT_STREQ(WireErrorName(WireError::kBadMagic), "bad magic");
+  EXPECT_STREQ(WireErrorName(WireError::kBadMagic), "bad_magic");
 }
 
 TEST(WireTest, DetectsLengthMismatch) {
