@@ -4,6 +4,10 @@
 #include "mean/mean_stream.h"
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -177,6 +181,72 @@ TEST(MeanMechanismTest, LongRunKeepsParticipationInvariant) {
   const auto data = MakeNumericSineDataset(4000, 300, 0.05);
   auto lpa = CreateMeanMechanism("MeanLPA", 1.0, 10, data->num_users());
   EXPECT_NO_THROW(lpa->Run(*data));
+}
+
+// testing::DigestRun's byte order over a scalar run: every release
+// double, one byte per publication flag, then the message and
+// publication counters.
+uint64_t DigestMeanRun(const MeanRunResult& run, uint64_t h) {
+  for (const double r : run.releases) h = testing::FnvFold(h, &r, sizeof r);
+  for (const bool p : run.published) {
+    const unsigned char b = p ? 1 : 0;
+    h = testing::FnvFold(h, &b, 1);
+  }
+  h = testing::FnvFold(h, &run.total_messages, sizeof run.total_messages);
+  return testing::FnvFold(h, &run.num_publications,
+                          sizeof run.num_publications);
+}
+
+// Bit-level pin of the three mean mechanisms over an edge grid: window
+// sizes from 1 to 20 and budgets from 0.05 to 20, on a slow and a fast
+// numeric sine stream. N is small, so MeanLPA's cohorts are a few users
+// and its schedule both absorbs (a publication spends more than one unit)
+// and then nullifies. Any change to a split, the absorption schedule, an
+// edge rule or the RNG draw order shows up here.
+TEST(MeanMechanismTest, MatchesEdgeGridDigests) {
+  constexpr std::size_t kWindows[] = {1, 2, 3, 8, 20};
+  constexpr double kEpsilons[] = {0.05, 0.5, 3.0, 20.0};
+  constexpr std::size_t kLength = 150;
+  constexpr uint64_t kUsers = 120;
+  struct Golden {
+    const char* mechanism;
+    uint64_t digest;
+  };
+  constexpr Golden kGoldens[] = {
+      {"MeanLBU", 0xC11E8F0B1F97051BULL},
+      {"MeanLPU", 0x96ABA709A9377423ULL},
+      {"MeanLPA", 0x5A2A836867B198ACULL},
+  };
+  const std::shared_ptr<SyntheticNumericDataset> streams[] = {
+      MakeNumericSineDataset(kUsers, kLength, 0.05, 0.3, 13),
+      MakeNumericSineDataset(kUsers, kLength, 0.6, 0.5, 29)};
+  uint64_t absorbing_runs = 0;
+  for (const Golden& golden : kGoldens) {
+    uint64_t digest = 1469598103934665603ULL;
+    uint64_t cell = 0;
+    for (const std::size_t window : kWindows) {
+      for (const double eps : kEpsilons) {
+        for (const auto& stream : streams) {
+          const MeanRunResult run =
+              CreateMeanMechanism(golden.mechanism, eps, window, kUsers,
+                                  7 + cell++)
+                  ->Run(*stream);
+          digest = DigestMeanRun(run, digest);
+          // Every timestamp spends one dissimilarity unit; publications
+          // beyond one unit each absorbed skipped timestamps.
+          const uint64_t unit = kUsers / (2 * window);
+          if (golden.mechanism == std::string("MeanLPA") &&
+              run.total_messages >
+                  (kLength + run.num_publications) * unit) {
+            ++absorbing_runs;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(digest, golden.digest)
+        << golden.mechanism << " digest 0x" << std::hex << digest;
+  }
+  EXPECT_GT(absorbing_runs, 0u);
 }
 
 }  // namespace
