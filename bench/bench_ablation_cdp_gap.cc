@@ -8,11 +8,13 @@
 // stream; expect CDP << LDP-population << LDP-budget.
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "analysis/metrics.h"
 #include "analysis/runner.h"
 #include "bench_common.h"
-#include "cdp/baselines.h"
+#include "cdp/laplace.h"
 #include "core/factory.h"
 #include "util/table_printer.h"
 
@@ -38,19 +40,24 @@ int main(int argc, char** argv) {
                       "eps=2 MSE"});
   const std::vector<double> epsilons = {0.5, 1.0, 2.0};
 
-  // CDP tier (trusted aggregator, Laplace).
-  for (const std::string name : {"Uniform", "BD", "BA"}) {
+  // CDP tier (trusted aggregator, Laplace): Kellaris's Uniform, BD and BA
+  // are LBU, LBD and LBA over a LaplaceCollector.
+  const std::pair<std::string, std::string> cdp_methods[] = {
+      {"Uniform", "LBU"}, {"BD", "LBD"}, {"BA", "LBA"}};
+  for (const auto& [name, mechanism] : cdp_methods) {
     std::vector<double> row;
     for (double eps : epsilons) {
       double total = 0.0;
       for (int rep = 0; rep < reps; ++rep) {
-        CdpConfig c;
+        MechanismConfig c;
         c.epsilon = eps;
         c.window = 20;
-        c.num_users = data->num_users();
         c.seed = 1000 + static_cast<uint64_t>(rep);
-        auto m = CreateCdpMechanism(name, c);
-        total += MeanSquaredError(truth, m->Run(truth));
+        LaplaceCollector collector(truth, data->num_users());
+        total += MeanSquaredError(
+            truth, CreateMechanism(mechanism, c, data->num_users())
+                       ->Run(collector, truth.size())
+                       .releases);
       }
       row.push_back(total / reps);
     }

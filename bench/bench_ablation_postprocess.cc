@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "analysis/metrics.h"
-#include "analysis/postprocess.h"
 #include "analysis/runner.h"
 #include "analysis/smoother.h"
 #include "bench_common.h"
 #include "core/factory.h"
+#include "core/postprocess.h"
 #include "fo/frequency_oracle.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"

@@ -52,11 +52,11 @@ namespace {
 using namespace ldpids;
 using namespace ldpids::bench;
 using service::ClientFleet;
+using service::MakeBufferedSplitTransport;
 using service::MechanismSession;
 using service::RoundRequest;
 using service::SessionOptions;
 using transport::Frame;
-using transport::MakeBufferedSplitTransport;
 using transport::RoundBuffer;
 using transport::SendRoundFrames;
 

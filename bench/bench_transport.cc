@@ -50,13 +50,13 @@ namespace {
 using namespace ldpids;
 using namespace ldpids::bench;
 using service::ClientFleet;
+using service::MakeBufferedTransport;
 using service::MechanismSession;
 using service::RoundRequest;
 using service::SessionOptions;
 using transport::Frame;
 using transport::FrameDecoder;
 using transport::FrameDemux;
-using transport::MakeBufferedTransport;
 using transport::MakeDataFrame;
 using transport::RoundBuffer;
 using transport::SendRoundFrames;
@@ -257,7 +257,7 @@ ServeCell BenchServeOverSocket(uint64_t users, std::size_t timestamps,
   // depth 1 it degrades to the plain buffered transport's behavior.
   MechanismSession session(
       CreateMechanism("LBU", config, users), kDomain, options,
-      transport::MakeBufferedSplitTransport(buffer, announce, threads));
+      service::MakeBufferedSplitTransport(buffer, announce, threads));
 
   ServeCell cell;
   const auto start = std::chrono::steady_clock::now();

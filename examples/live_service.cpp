@@ -81,13 +81,13 @@ namespace {
 using namespace ldpids;
 using service::ClientFleet;
 using service::IngestStats;
+using service::MakeBufferedTransport;
 using service::MechanismSession;
 using service::RoundRequest;
 using service::SessionOptions;
 using transport::Frame;
 using transport::FrameDemux;
 using transport::FrameLogWriter;
-using transport::MakeBufferedTransport;
 using transport::RoundBuffer;
 using transport::RoundBufferOptions;
 using transport::SendRoundFrames;
@@ -426,7 +426,7 @@ int main(int argc, char** argv) {
     // while the ingest worker folds the previous round.
     const DemoRun result = RunSession(
         users, timestamps, options,
-        transport::MakeBufferedSplitTransport(
+        service::MakeBufferedSplitTransport(
             buffer,
             [&](const RoundRequest& request) { send_round(senders, request); },
             options.num_threads),

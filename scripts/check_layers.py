@@ -7,10 +7,18 @@ Usage:
 
 SRC_DIR defaults to the src/ directory next to this script. Every quoted
 include of a file under SRC_DIR/<dir>/ names its target as "<layer>/...";
-for each directory listed in ALLOWED, that layer must be one the table
-allows. obs/ is a leaf above util/: it publishes what the other layers
-count, through util/stat_table.h rows, without including their headers.
-Directories not in ALLOWED are not checked yet.
+that layer must be one ALLOWED lists for <dir>. Every directory under
+SRC_DIR must have an entry, so a new directory states its place first.
+
+The order has two stacks over util/, and service/ on top of both:
+
+    util -> stream -> fo -> core -> {analysis, cdp, datagen, mean}
+    util -> obs -> transport -> service      (service also above core, fo)
+
+transport/ also reads fo/'s wire headers (a packet's identity is its
+report nonce or its partial sketch's node id). obs/ publishes what the
+other layers count through util/stat_table.h rows, without including
+their headers.
 
 Exits 0 and prints a summary when every edge is allowed; otherwise prints
 each violation as FILE:LINE and exits 1.
@@ -20,7 +28,18 @@ import re
 import sys
 
 ALLOWED = {
+    "util": {"util"},
+    "stream": {"stream", "util"},
+    "fo": {"fo", "stream", "util"},
+    "core": {"core", "fo", "stream", "util"},
+    "analysis": {"analysis", "core", "fo", "stream", "util"},
+    "cdp": {"cdp", "core", "fo", "stream", "util"},
+    "datagen": {"datagen", "core", "fo", "stream", "util"},
+    "mean": {"mean", "core", "fo", "stream", "util"},
     "obs": {"obs", "util"},
+    "transport": {"transport", "obs", "fo", "stream", "util"},
+    "service": {"service", "transport", "obs", "core", "fo", "stream",
+                "util"},
 }
 
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"/]+)/[^"]+"')
@@ -30,6 +49,9 @@ def check(src):
     """Returns (violations, edges checked) for the tree rooted at `src`."""
     violations = []
     edges = 0
+    for layer in sorted(os.listdir(src)):
+        if os.path.isdir(os.path.join(src, layer)) and layer not in ALLOWED:
+            violations.append(f"{os.path.join(src, layer)}: no layer entry")
     for layer, allowed in sorted(ALLOWED.items()):
         root = os.path.join(src, layer)
         if not os.path.isdir(root):

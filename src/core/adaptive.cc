@@ -103,7 +103,7 @@ StepResult AdaptiveMechanism::DoStep(CollectorContext& ctx, std::size_t t) {
                &dis_estimate_);
   const double dis =
       EstimateDissimilarity(dis_estimate_, last_release_,
-                            MeanVariance(RoundEpsilon(unit_), n_dis));
+                            ctx.MeanVariance(RoundEpsilon(unit_), n_dis));
   result.messages += n_dis;
   if (division_ == Division::kBudget) {
     // t+1 opens with the same fixed-budget whole-population round, so it
@@ -117,7 +117,7 @@ StepResult AdaptiveMechanism::DoStep(CollectorContext& ctx, std::size_t t) {
   const double amount = ProposedAmount(t);
   double spent = 0.0;
   if (amount > 0.0 &&
-      dis > MeanVariance(RoundEpsilon(amount), RoundUsers(amount))) {
+      dis > ctx.MeanVariance(RoundEpsilon(amount), RoundUsers(amount))) {
     // Publication strategy, unless the population pool has run dry.
     const std::vector<uint32_t>* cohort = DrawCohort(amount);
     if (cohort == nullptr || !cohort->empty()) {

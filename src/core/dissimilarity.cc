@@ -9,9 +9,4 @@ double EstimateDissimilarity(const Histogram& private_estimate,
          estimate_mean_variance;
 }
 
-double TrueDissimilarity(const Histogram& true_histogram,
-                         const Histogram& last_release) {
-  return MeanSquaredDistance(true_histogram, last_release);
-}
-
 }  // namespace ldpids

@@ -6,13 +6,14 @@
 //
 //   dis* = (1/d) sum_k (c_t[k] - r_l[k])^2                         (Eq. 3)
 //
-// is not observable under LDP; Theorem 5.2 shows that, for any unbiased FO
-// estimate c_hat of c_t,
+// (util's MeanSquaredDistance) is not observable under LDP; Theorem 5.2
+// shows that, for any unbiased estimate c_hat of c_t,
 //
 //   dis = (1/d) sum_k (c_hat[k] - r_l[k])^2 - (1/d) sum_k Var(c_hat[k])
 //
 // is an unbiased estimator of dis* (and LDP by post-processing). The
-// variance-correction term is the FO's analytic mean variance V(eps, n).
+// variance-correction term is the collector's analytic mean variance
+// V(eps, n) (CollectorContext::MeanVariance).
 #ifndef LDPIDS_CORE_DISSIMILARITY_H_
 #define LDPIDS_CORE_DISSIMILARITY_H_
 
@@ -27,11 +28,6 @@ namespace ldpids {
 double EstimateDissimilarity(const Histogram& private_estimate,
                              const Histogram& last_release,
                              double estimate_mean_variance);
-
-// The unobservable ground truth dis* (Eq. 3); used by tests to verify the
-// estimator's unbiasedness and by diagnostics.
-double TrueDissimilarity(const Histogram& true_histogram,
-                         const Histogram& last_release);
 
 }  // namespace ldpids
 

@@ -41,12 +41,4 @@ std::vector<std::string> AllMechanismNames() {
   return {"LBU", "LSP", "LBD", "LBA", "LPU", "LPD", "LPA"};
 }
 
-std::vector<std::string> BudgetDivisionMechanismNames() {
-  return {"LBU", "LSP", "LBD", "LBA"};
-}
-
-std::vector<std::string> PopulationDivisionMechanismNames() {
-  return {"LPU", "LPD", "LPA"};
-}
-
 }  // namespace ldpids

@@ -22,10 +22,6 @@ std::unique_ptr<StreamMechanism> CreateMechanism(const std::string& name,
 // All mechanism names, in the paper's presentation order.
 std::vector<std::string> AllMechanismNames();
 
-// The two framework families, for grouped reporting.
-std::vector<std::string> BudgetDivisionMechanismNames();      // LBU LSP LBD LBA
-std::vector<std::string> PopulationDivisionMechanismNames();  // LPU LPD LPA
-
 }  // namespace ldpids
 
 #endif  // LDPIDS_CORE_FACTORY_H_

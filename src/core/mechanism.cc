@@ -57,13 +57,13 @@ StepResult StreamMechanism::Step(CollectorContext& ctx, std::size_t t) {
 }
 
 StepResult StreamMechanism::Step(const StreamDataset& data, std::size_t t) {
-  DatasetCollector collector(data, fo_, config_.per_user_simulation, rng_);
+  DatasetCollector collector(data, fo_, config_.per_user_simulation);
   return Step(collector, t);
 }
 
 RunResult StreamMechanism::Run(const StreamDataset& data,
                                std::size_t max_timestamps) {
-  DatasetCollector collector(data, fo_, config_.per_user_simulation, rng_);
+  DatasetCollector collector(data, fo_, config_.per_user_simulation);
   return Run(collector, std::min(data.length(), max_timestamps));
 }
 
@@ -87,11 +87,7 @@ void StreamMechanism::CollectViaFo(CollectorContext& ctx, std::size_t t,
                                    double epsilon,
                                    const std::vector<uint32_t>* subset,
                                    uint64_t* n_out, Histogram* out) {
-  ctx.Collect(t, epsilon, subset, n_out, out);
-}
-
-double StreamMechanism::MeanVariance(double epsilon, uint64_t n) const {
-  return fo_.MeanVariance(epsilon, n, domain_);
+  ctx.Collect(t, epsilon, subset, rng_, n_out, out);
 }
 
 }  // namespace ldpids

@@ -1,13 +1,16 @@
 // Stream-mechanism interface for w-event LDP release (paper Sections 4-6).
 //
-// A `StreamMechanism` processes one timestamp at a time: it pulls the FO
+// A `StreamMechanism` processes one timestamp at a time: it pulls the
 // aggregate of every collection round it performs from a
 // `CollectorContext` (core/collector.h) and produces the server-side
 // release r_t. In offline simulation the context is a `DatasetCollector`
 // (ground truth through a `StreamDataset`, which stands in for the
 // distributed users); in online serving (src/service/) it is backed by
 // sharded wire-report ingestion, so the server only ever sees perturbed
-// reports. Every mechanism guarantees w-event epsilon-LDP:
+// reports. The same mechanisms run over a trusted aggregator's Laplace
+// release (cdp/laplace.h) and over numeric mean reports
+// (mean/mean_stream.h). Over an FO, every mechanism guarantees w-event
+// epsilon-LDP:
 //
 //   * budget-division mechanisms (LBU, LSP, LBD, LBA) make each user report
 //     at every timestamp but with per-timestamp budgets summing to <= eps in
@@ -28,8 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/postprocess.h"
 #include "core/collector.h"
+#include "core/postprocess.h"
 #include "fo/frequency_oracle.h"
 #include "stream/dataset.h"
 #include "util/histogram.h"
@@ -58,7 +61,7 @@ struct MechanismConfig {
   bool per_user_simulation = false;
 
   // Consistency post-processing applied to every release (privacy-free by
-  // the post-processing theorem); see analysis/postprocess.h. The processed
+  // the post-processing theorem); see core/postprocess.h. The processed
   // release is also what the adaptive mechanisms compare against in the
   // next dissimilarity estimate.
   PostProcess post_process = PostProcess::kNone;
@@ -100,7 +103,7 @@ class StreamMechanism {
   StepResult Step(CollectorContext& ctx, std::size_t t);
 
   // Offline convenience: simulates the collection rounds from `data`'s
-  // ground truth via a DatasetCollector bound to this mechanism's RNG.
+  // ground truth via a DatasetCollector over this mechanism's FO.
   StepResult Step(const StreamDataset& data, std::size_t t);
 
   // Runs over `data` from t = 0 to min(length, max_timestamps) - 1. A thin
@@ -124,19 +127,15 @@ class StreamMechanism {
   // pulled through `ctx`, never from ground truth directly.
   virtual StepResult DoStep(CollectorContext& ctx, std::size_t t) = 0;
 
-  // Runs one FO collection round with budget `epsilon` at timestamp `t`.
-  // If `subset` is null the whole population reports (budget division);
-  // otherwise only the listed users do (population division). Writes the
-  // unbiased estimate into `*out` (resized to the domain, so mechanisms
-  // reuse one release/estimate buffer across timestamps) and the number of
-  // reporters into `*n_out`.
+  // Runs one collection round with budget `epsilon` at timestamp `t`,
+  // handing `ctx` this mechanism's RNG. If `subset` is null the whole
+  // population reports (budget division); otherwise only the listed users
+  // do (population division). Writes the unbiased estimate into `*out`
+  // (resized to the domain, so mechanisms reuse one release/estimate
+  // buffer across timestamps) and the number of reporters into `*n_out`.
   void CollectViaFo(CollectorContext& ctx, std::size_t t, double epsilon,
                     const std::vector<uint32_t>* subset, uint64_t* n_out,
                     Histogram* out);
-
-  // The paper's V(eps, n): FO mean per-bin variance for the configured
-  // domain size. `domain_` is latched on the first Step.
-  double MeanVariance(double epsilon, uint64_t n) const;
 
   const MechanismConfig config_;
   const FrequencyOracle& fo_;

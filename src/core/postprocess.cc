@@ -1,4 +1,4 @@
-#include "analysis/postprocess.h"
+#include "core/postprocess.h"
 
 #include <algorithm>
 #include <cctype>

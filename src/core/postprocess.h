@@ -13,8 +13,8 @@
 //   kNormSub — the norm-sub estimator: shift all bins by a common delta and
 //              clip negatives so the result is non-negative and sums to 1
 //              (the recommended choice in the consistency literature).
-#ifndef LDPIDS_ANALYSIS_POSTPROCESS_H_
-#define LDPIDS_ANALYSIS_POSTPROCESS_H_
+#ifndef LDPIDS_CORE_POSTPROCESS_H_
+#define LDPIDS_CORE_POSTPROCESS_H_
 
 #include <string>
 
@@ -48,4 +48,4 @@ std::string PostProcessName(PostProcess mode);
 
 }  // namespace ldpids
 
-#endif  // LDPIDS_ANALYSIS_POSTPROCESS_H_
+#endif  // LDPIDS_CORE_POSTPROCESS_H_

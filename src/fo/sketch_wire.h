@@ -145,8 +145,10 @@ struct SketchMergeStats : util::StatTable<SketchMergeStats> {
        "ldpids_sketch_merge_partials_total", "result", util::StatKind::kDrop},
       {&SketchMergeStats::duplicate_node, "duplicate_node",
        "ldpids_sketch_merge_partials_total", "result", util::StatKind::kDrop},
+      // Announced partials that never arrived: no partial to count in
+      // total(), so not a `result` of the partials series either.
       {&SketchMergeStats::missing, "missing",
-       "ldpids_sketch_merge_partials_total", "result",
+       "ldpids_sketch_merge_missing_total", nullptr,
        util::StatKind::kDetail},
   };
 };

@@ -5,8 +5,8 @@
 // The paper's footnote 2 notes that "other aggregate analyses, such as
 // count and mean estimation, can be applicable, as the query type is
 // orthogonal to the streaming data setting"; src/mean realizes that claim:
-// this oracle plugs into the mean-stream mechanisms of mean_stream.h the
-// same way the FOs plug into the histogram mechanisms.
+// through mean_stream.h's MeanCollector this oracle drives the histogram
+// family's own w-event mechanisms, the way the FOs do.
 //
 // Client: holding x in [-1, 1], report the single bit
 //     B = +C with probability 1/2 + x (e^eps - 1) / (2 (e^eps + 1)),

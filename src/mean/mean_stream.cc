@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -70,205 +69,22 @@ std::shared_ptr<SyntheticNumericDataset> MakeNumericSineDataset(
       "NumericSine", num_users, std::move(base), user_spread, seed);
 }
 
-double MeanRunResult::Cfpu() const {
-  if (num_users == 0 || timestamps == 0) return 0.0;
-  return static_cast<double>(total_messages) /
-         (static_cast<double>(num_users) * static_cast<double>(timestamps));
-}
-
-MeanStreamMechanism::MeanStreamMechanism(double epsilon, std::size_t window,
-                                         uint64_t num_users, uint64_t seed)
-    : epsilon_(epsilon),
-      window_(window),
-      num_users_(num_users),
-      rng_(seed) {
-  if (!(epsilon > 0.0)) throw std::invalid_argument("epsilon must be > 0");
-  if (window == 0) throw std::invalid_argument("window must be >= 1");
-  if (num_users == 0) throw std::invalid_argument("empty population");
-}
-
-MeanStepResult MeanStreamMechanism::Step(const NumericStreamDataset& data,
-                                         std::size_t t) {
-  if (t != next_t_) {
-    throw std::logic_error("mean mechanism timestamps must be sequential");
-  }
-  if (data.num_users() != num_users_) {
-    throw std::invalid_argument("dataset population mismatch");
-  }
-  MeanStepResult result = DoStep(data, t);
-  last_release_ = result.release;
-  ++next_t_;
-  return result;
-}
-
-MeanRunResult MeanStreamMechanism::Run(const NumericStreamDataset& data) {
-  MeanRunResult run;
-  run.num_users = data.num_users();
-  run.timestamps = data.length();
-  for (std::size_t t = 0; t < data.length(); ++t) {
-    const MeanStepResult step = Step(data, t);
-    run.releases.push_back(step.release);
-    run.published.push_back(step.published);
-    run.total_messages += step.messages;
-    run.num_publications += step.published ? 1 : 0;
-  }
-  return run;
-}
-
-namespace {
-
-// Budget division, uniform: everyone reports eps/w at every timestamp.
-class MeanLbu final : public MeanStreamMechanism {
- public:
-  MeanLbu(double epsilon, std::size_t window, uint64_t num_users,
-          uint64_t seed)
-      : MeanStreamMechanism(epsilon, window, num_users, seed),
-        oracle_(epsilon / static_cast<double>(window)) {}
-
-  std::string name() const override { return "MeanLBU"; }
-
- protected:
-  MeanStepResult DoStep(const NumericStreamDataset& data,
-                        std::size_t t) override {
-    MeanAccumulator acc;
-    for (uint64_t u = 0; u < num_users_; ++u) {
-      acc.Consume(oracle_.Perturb(data.value(u, t), rng_));
+void MeanCollector::Collect(std::size_t t, double epsilon,
+                            const std::vector<uint32_t>* subset, Rng& rng,
+                            uint64_t* n_out, Histogram* out) {
+  const MeanOracle oracle(epsilon);
+  MeanAccumulator acc;
+  if (subset == nullptr) {
+    for (uint64_t u = 0; u < data_.num_users(); ++u) {
+      acc.Consume(oracle.Perturb(data_.value(u, t), rng));
     }
-    return {acc.Estimate(), true, acc.num_reports()};
-  }
-
- private:
-  MeanOracle oracle_;
-};
-
-// Population division, uniform: one 1/w group per timestamp, full budget.
-class MeanLpu final : public MeanStreamMechanism {
- public:
-  MeanLpu(double epsilon, std::size_t window, uint64_t num_users,
-          uint64_t seed)
-      : MeanStreamMechanism(epsilon, window, num_users, seed),
-        oracle_(epsilon),
-        population_(num_users, window) {
-    if (num_users < window) {
-      throw std::invalid_argument("MeanLPU needs at least w users");
+  } else {
+    for (uint32_t u : *subset) {
+      acc.Consume(oracle.Perturb(data_.value(u, t), rng));
     }
   }
-
-  std::string name() const override { return "MeanLPU"; }
-
- protected:
-  MeanStepResult DoStep(const NumericStreamDataset& data,
-                        std::size_t t) override {
-    const auto group = population_.Sample(
-        static_cast<std::size_t>(num_users_ / window_), rng_);
-    MeanAccumulator acc;
-    for (uint32_t u : group) acc.Consume(oracle_.Perturb(data.value(u, t), rng_));
-    population_.EndTimestamp();
-    return {acc.Estimate(), true, acc.num_reports()};
-  }
-
- private:
-  MeanOracle oracle_;
-  PopulationManager population_;
-};
-
-// Population division, adaptive absorption (the LPA schedule on a scalar).
-class MeanLpa final : public MeanStreamMechanism {
- public:
-  MeanLpa(double epsilon, std::size_t window, uint64_t num_users,
-          uint64_t seed)
-      : MeanStreamMechanism(epsilon, window, num_users, seed),
-        oracle_(epsilon),
-        population_(num_users, window) {
-    if (num_users < 2 * window) {
-      throw std::invalid_argument("MeanLPA needs at least 2*w users");
-    }
-  }
-
-  std::string name() const override { return "MeanLPA"; }
-
- protected:
-  MeanStepResult DoStep(const NumericStreamDataset& data,
-                        std::size_t t) override {
-    MeanStepResult result;
-    const uint64_t unit = num_users_ / (2 * window_);
-
-    // M1: dissimilarity cohort — scalar Theorem 5.2:
-    // dis = (m_hat - last)^2 - Var(m_hat) is unbiased for (m - last)^2.
-    const auto dis_users =
-        population_.Sample(static_cast<std::size_t>(unit), rng_);
-    MeanAccumulator dis_acc;
-    for (uint32_t u : dis_users) {
-      dis_acc.Consume(oracle_.Perturb(data.value(u, t), rng_));
-    }
-    result.messages += dis_acc.num_reports();
-    const double m_hat = dis_acc.Estimate();
-    const double dis = (m_hat - last_release_) * (m_hat - last_release_) -
-                       oracle_.MeanVariance(dis_acc.num_reports());
-
-    // M2: absorption schedule (Alg. 4 on cohort sizes).
-    const std::int64_t t_nullified =
-        static_cast<std::int64_t>(last_pub_users_ / unit) - 1;
-    const std::int64_t since_last = static_cast<std::int64_t>(t) - last_pub_;
-    if (since_last <= t_nullified) {
-      result.release = last_release_;
-      population_.EndTimestamp();
-      return result;
-    }
-    const std::int64_t t_absorb =
-        static_cast<std::int64_t>(t) - (last_pub_ + t_nullified);
-    const uint64_t n_pp =
-        unit * static_cast<uint64_t>(std::min<std::int64_t>(
-                   t_absorb, static_cast<std::int64_t>(window_)));
-    const double err = oracle_.MeanVariance(std::max<uint64_t>(n_pp, 1));
-    if (dis > err && n_pp > 0) {
-      const auto pub_users =
-          population_.Sample(static_cast<std::size_t>(n_pp), rng_);
-      MeanAccumulator pub_acc;
-      for (uint32_t u : pub_users) {
-        pub_acc.Consume(oracle_.Perturb(data.value(u, t), rng_));
-      }
-      result.release = pub_acc.Estimate();
-      result.published = true;
-      result.messages += pub_acc.num_reports();
-      last_pub_ = static_cast<std::int64_t>(t);
-      last_pub_users_ = pub_acc.num_reports();
-    } else {
-      result.release = last_release_;
-    }
-    population_.EndTimestamp();
-    return result;
-  }
-
- private:
-  MeanOracle oracle_;
-  PopulationManager population_;
-  std::int64_t last_pub_ = -1;
-  uint64_t last_pub_users_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<MeanStreamMechanism> CreateMeanMechanism(
-    const std::string& name, double epsilon, std::size_t window,
-    uint64_t num_users, uint64_t seed) {
-  std::string upper = name;
-  std::transform(upper.begin(), upper.end(), upper.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  if (upper == "MEANLBU") {
-    return std::make_unique<MeanLbu>(epsilon, window, num_users, seed);
-  }
-  if (upper == "MEANLPU") {
-    return std::make_unique<MeanLpu>(epsilon, window, num_users, seed);
-  }
-  if (upper == "MEANLPA") {
-    return std::make_unique<MeanLpa>(epsilon, window, num_users, seed);
-  }
-  throw std::invalid_argument("unknown mean mechanism: " + name);
-}
-
-std::vector<std::string> AllMeanMechanismNames() {
-  return {"MeanLBU", "MeanLPU", "MeanLPA"};
+  out->assign(1, acc.Estimate());
+  if (n_out != nullptr) *n_out = acc.num_reports();
 }
 
 }  // namespace ldpids

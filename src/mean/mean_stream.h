@@ -2,18 +2,20 @@
 // framework (Sections 5-6) instantiated for mean estimation instead of
 // histograms, demonstrating footnote 2's "query type is orthogonal" claim.
 //
-// Provided mechanisms (numeric analogues of the histogram family):
-//   * MeanLbu — budget division, eps/w per timestamp, everyone reports;
-//   * MeanLpu — population division, one fresh 1/w group per timestamp with
+// The mechanisms are the histogram family's own (core/factory.h), run
+// over a `MeanCollector`:
+//   * LBU — budget division, eps/w per timestamp, everyone reports;
+//   * LPU — population division, one fresh 1/w group per timestamp with
 //     the full budget;
-//   * MeanLpa — adaptive population absorption: a dissimilarity cohort
+//   * LPA — adaptive population absorption: a dissimilarity cohort
 //     estimates dis = (m_hat - last_release)^2 - Var (the scalar Theorem
 //     5.2) and a publication cohort is spent only when dis exceeds the
 //     potential publication error, with LPA's absorb/nullify schedule.
+// The benches and tests call them MeanLBU, MeanLPU and MeanLPA.
 //
-// Privacy: identical accounting to the histogram mechanisms — MeanLbu
-// splits the window budget; MeanLpu/MeanLpa let each user report at most
-// once per window (enforced by PopulationManager) with full budget.
+// Privacy: identical accounting to the histogram mechanisms — LBU splits
+// the window budget; LPU/LPA let each user report at most once per window
+// (enforced by PopulationManager) with full budget.
 #ifndef LDPIDS_MEAN_MEAN_STREAM_H_
 #define LDPIDS_MEAN_MEAN_STREAM_H_
 
@@ -25,8 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "core/population_manager.h"
+#include "core/collector.h"
 #include "mean/mean_oracle.h"
+#include "util/histogram.h"
 #include "util/rng.h"
 
 namespace ldpids {
@@ -80,51 +83,31 @@ std::shared_ptr<SyntheticNumericDataset> MakeNumericSineDataset(
     uint64_t num_users = 50000, std::size_t length = 200,
     double period_b = 0.05, double user_spread = 0.3, uint64_t seed = 17);
 
-struct MeanStepResult {
-  double release = 0.0;
-  bool published = false;
-  uint64_t messages = 0;
-};
-
-struct MeanRunResult {
-  std::vector<double> releases;
-  std::vector<bool> published;
-  uint64_t total_messages = 0;
-  uint64_t num_publications = 0;
-  uint64_t num_users = 0;
-  std::size_t timestamps = 0;
-  double Cfpu() const;
-};
-
-class MeanStreamMechanism {
+// The mean oracle as a collection round: each listed user (or everyone)
+// sends one Duchi report of their value at t, and the round returns the
+// reports' mean as a 1-bin release, with V(eps, n) = C^2 / n. The w-event
+// mechanisms of src/core run on it unchanged, so the mean family is
+// LBU/LPU/LPA over a MeanCollector (the histogram family's budget and
+// population accounting, BudgetLedger and PopulationManager included).
+class MeanCollector final : public CollectorContext {
  public:
-  virtual ~MeanStreamMechanism() = default;
-  virtual std::string name() const = 0;
+  // `data` must outlive the collector.
+  explicit MeanCollector(const NumericStreamDataset& data) : data_(data) {}
 
-  // Sequential per-timestamp processing, as in StreamMechanism.
-  MeanStepResult Step(const NumericStreamDataset& data, std::size_t t);
-  MeanRunResult Run(const NumericStreamDataset& data);
+  std::size_t domain() const override { return 1; }
+  uint64_t num_users() const override { return data_.num_users(); }
 
- protected:
-  MeanStreamMechanism(double epsilon, std::size_t window, uint64_t num_users,
-                      uint64_t seed);
-  virtual MeanStepResult DoStep(const NumericStreamDataset& data,
-                                std::size_t t) = 0;
+  void Collect(std::size_t t, double epsilon,
+               const std::vector<uint32_t>* subset, Rng& rng,
+               uint64_t* n_out, Histogram* out) override;
 
-  const double epsilon_;
-  const std::size_t window_;
-  const uint64_t num_users_;
-  Rng rng_;
-  double last_release_ = 0.0;
-  std::size_t next_t_ = 0;
+  double MeanVariance(double epsilon, uint64_t n) const override {
+    return MeanOracle(epsilon).MeanVariance(n);
+  }
+
+ private:
+  const NumericStreamDataset& data_;
 };
-
-// Factory: "MeanLBU" | "MeanLPU" | "MeanLPA" (case-insensitive).
-std::unique_ptr<MeanStreamMechanism> CreateMeanMechanism(
-    const std::string& name, double epsilon, std::size_t window,
-    uint64_t num_users, uint64_t seed = 7);
-
-std::vector<std::string> AllMeanMechanismNames();
 
 }  // namespace ldpids
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,7 +18,9 @@
 #include "obs/stage_trace.h"
 #include "obs/stats_feed.h"
 #include "service/aggregator.h"
+#include "transport/round_buffer.h"
 #include "util/histogram.h"
+#include "util/rng.h"
 
 namespace ldpids::service {
 
@@ -40,10 +43,11 @@ namespace ldpids::service {
 // results and accounting are bit-identical to the serial path.
 class MechanismSession::WireCollector final : public CollectorContext {
  public:
-  WireCollector(MechanismSession& session, OracleId oracle,
+  WireCollector(MechanismSession& session, const std::string& fo,
                 std::size_t domain, uint64_t num_users)
       : session_(session),
-        oracle_(oracle),
+        fo_(GetFrequencyOracle(fo)),
+        oracle_(OracleIdFromName(fo)),
         domain_(domain),
         num_users_(num_users),
         pipelined_(session.options_.pipeline_depth > 1) {
@@ -68,9 +72,10 @@ class MechanismSession::WireCollector final : public CollectorContext {
   std::size_t domain() const override { return domain_; }
   uint64_t num_users() const override { return num_users_; }
 
+  // Users perturb on their own devices, so the mechanism's RNG is unused.
   void Collect(std::size_t t, double epsilon,
-               const std::vector<uint32_t>* subset, uint64_t* n_out,
-               Histogram* out) override {
+               const std::vector<uint32_t>* subset, Rng& /*rng*/,
+               uint64_t* n_out, Histogram* out) override {
     JobPtr job;
     if (!prefetched_.empty()) {
       // The mechanism planned this round and it is already announced (and
@@ -123,6 +128,10 @@ class MechanismSession::WireCollector final : public CollectorContext {
     outcome.sketch->EstimateInto(out);
     step_estimate_end_ns_ = obs::NowNs();
     sink.Emit({obs::Stage::kEstimate, round, t0, step_estimate_end_ns_});
+  }
+
+  double MeanVariance(double epsilon, uint64_t n) const override {
+    return fo_.MeanVariance(epsilon, n, domain_);
   }
 
   // End of the latest EstimateInto in the current step, 0 when no round
@@ -255,6 +264,7 @@ class MechanismSession::WireCollector final : public CollectorContext {
   }
 
   MechanismSession& session_;
+  const FrequencyOracle& fo_;
   const OracleId oracle_;
   const std::size_t domain_;
   const uint64_t num_users_;
@@ -372,8 +382,7 @@ MechanismSession::MechanismSession(
     reg.GetGauge("ldpids_session_info", info).Set(1);
   }
   collector_ = std::make_unique<WireCollector>(
-      *this, OracleIdFromName(mechanism_->config().fo), domain,
-      mechanism_->num_users());
+      *this, mechanism_->config().fo, domain, mechanism_->num_users());
 }
 
 MechanismSession::~MechanismSession() {
@@ -419,6 +428,28 @@ StepResult MechanismSession::Advance() {
     sink_.Close();
     throw;
   }
+}
+
+RoundTransport MakeBufferedTransport(transport::RoundBuffer& buffer,
+                                     RoundAnnounce announce,
+                                     std::size_t num_threads) {
+  return [&buffer, announce = std::move(announce), num_threads](
+             const RoundRequest& request, ReportRouter& router) {
+    if (announce) announce(request);
+    router.IngestBatch(buffer.TakeRound(request.round_index), num_threads);
+  };
+}
+
+SplitRoundTransport MakeBufferedSplitTransport(transport::RoundBuffer& buffer,
+                                               RoundAnnounce announce,
+                                               std::size_t num_threads) {
+  SplitRoundTransport split;
+  split.announce = std::move(announce);
+  split.ingest = [&buffer, num_threads](const RoundRequest& request,
+                                        ReportRouter& router) {
+    router.IngestBatch(buffer.TakeRound(request.round_index), num_threads);
+  };
+  return split;
 }
 
 }  // namespace ldpids::service

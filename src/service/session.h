@@ -47,6 +47,10 @@ template <typename Stats>
 class StatsFeed;
 }  // namespace ldpids::obs
 
+namespace ldpids::transport {
+class RoundBuffer;  // transport/round_buffer.h
+}  // namespace ldpids::transport
+
 namespace ldpids::service {
 
 class AggregatorNode;  // service/aggregator.h
@@ -87,13 +91,37 @@ using RoundAnnounce = std::function<void(const RoundRequest&)>;
 // `ingest` runs on the ingest stage (the worker thread when pipelined)
 // and delivers the round's packets into the router, typically by blocking
 // in RoundBuffer::TakeRound and folding via ReportRouter::IngestBatch
-// (see transport::MakeBufferedSplitTransport). The two halves of
-// *different* rounds run concurrently in a pipelined session, so they
-// must not share unsynchronized mutable state.
+// (see MakeBufferedSplitTransport). The two halves of *different* rounds
+// run concurrently in a pipelined session, so they must not share
+// unsynchronized mutable state.
 struct SplitRoundTransport {
   RoundAnnounce announce;
   RoundTransport ingest;
 };
+
+// A RoundTransport backed by a transport::RoundBuffer: on each round it
+// (1) announces the request (in tests and demos, where the simulated fleet
+// produces and transmits the round's packets over the data plane), (2)
+// blocks in TakeRound for the round's packets (out-of-order, late and
+// duplicate delivery already absorbed), and (3) feeds them to the sharded
+// ingest. With this, a MechanismSession runs over any byte transport that
+// can deliver frames into the buffer. `announce` may be null.
+RoundTransport MakeBufferedTransport(transport::RoundBuffer& buffer,
+                                     RoundAnnounce announce,
+                                     std::size_t num_threads);
+
+// The same transport split at the announce/ingest seam for pipelined
+// sessions (SessionOptions::pipeline_depth > 1): `announce` fires on the
+// session thread the moment a round is opened — including a pre-announced
+// planned round — while the TakeRound + IngestBatch half runs on the
+// session's ingest worker. With this, round t+1's packets are produced,
+// transmitted and folded while round t is still estimating. The announce
+// callback may run concurrently with the ingest half of an *earlier*
+// round, so it must not share unsynchronized state with it (delivering
+// into the RoundBuffer is always safe; the buffer locks internally).
+SplitRoundTransport MakeBufferedSplitTransport(transport::RoundBuffer& buffer,
+                                               RoundAnnounce announce,
+                                               std::size_t num_threads);
 
 // Everything the ingest/estimate seam hands across for one round: the
 // round's resolved sketch plus acceptance accounting and the stage events

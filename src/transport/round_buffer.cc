@@ -14,7 +14,6 @@
 #include "fo/wire.h"
 #include "obs/metrics.h"
 #include "obs/stats_feed.h"
-#include "service/ingest.h"
 
 namespace ldpids::transport {
 
@@ -199,28 +198,6 @@ FrameHandler FrameDemux::Handler() {
 uint64_t FrameDemux::unknown_session_drops() const {
   std::lock_guard<std::mutex> lock(mu_);
   return unknown_session_drops_;
-}
-
-service::RoundTransport MakeBufferedTransport(RoundBuffer& buffer,
-                                              AnnounceFn announce,
-                                              std::size_t num_threads) {
-  return [&buffer, announce = std::move(announce), num_threads](
-             const service::RoundRequest& request,
-             service::ReportRouter& router) {
-    if (announce) announce(request);
-    router.IngestBatch(buffer.TakeRound(request.round_index), num_threads);
-  };
-}
-
-service::SplitRoundTransport MakeBufferedSplitTransport(
-    RoundBuffer& buffer, AnnounceFn announce, std::size_t num_threads) {
-  service::SplitRoundTransport split;
-  split.announce = std::move(announce);
-  split.ingest = [&buffer, num_threads](const service::RoundRequest& request,
-                                        service::ReportRouter& router) {
-    router.IngestBatch(buffer.TakeRound(request.round_index), num_threads);
-  };
-  return split;
 }
 
 void SendRoundFrames(FrameSender& sender, uint64_t session_id,

@@ -62,14 +62,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "service/session.h"
 #include "transport/frame.h"
 #include "util/stat_table.h"
 #include "util/u64_set.h"
@@ -245,35 +243,7 @@ class FrameDemux {
   uint64_t unknown_session_drops_ = 0;
 };
 
-// --- serving-layer integration -------------------------------------------
-
-// Announces a round the session just opened. In a deployment this is the
-// server's control plane: push the round descriptor (round index, epsilon,
-// oracle, cohort) to the devices so they report. In tests and demos it is
-// where the simulated fleet produces and transmits the round's packets
-// over the data plane (socket, log file, direct delivery).
-using AnnounceFn = std::function<void(const service::RoundRequest&)>;
-
-// A service::RoundTransport backed by a RoundBuffer: on each round it
-// (1) announces the request, (2) blocks in TakeRound for the round's
-// packets (out-of-order/late/duplicate delivery already absorbed), and
-// (3) feeds them to the sharded ingest. With this, a MechanismSession
-// runs over any byte transport that can deliver frames into the buffer.
-service::RoundTransport MakeBufferedTransport(RoundBuffer& buffer,
-                                              AnnounceFn announce,
-                                              std::size_t num_threads);
-
-// The same transport split at the announce/ingest seam for pipelined
-// sessions (SessionOptions::pipeline_depth > 1): `announce` fires on the
-// session thread the moment a round is opened — including a pre-announced
-// planned round — while the TakeRound + IngestBatch half runs on the
-// session's ingest worker. With this, round t+1's packets are produced,
-// transmitted and folded while round t is still estimating. The announce
-// callback may run concurrently with the ingest half of an *earlier*
-// round, so it must not share unsynchronized state with it (delivering
-// into the RoundBuffer is always safe; the buffer locks internally).
-service::SplitRoundTransport MakeBufferedSplitTransport(
-    RoundBuffer& buffer, AnnounceFn announce, std::size_t num_threads);
+// --- sender side ------------------------------------------------------------
 
 // Identity of one data payload for completion accounting: the wire user
 // nonce when the payload carries a readable one (PeekWireNonce), else a

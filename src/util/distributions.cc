@@ -240,31 +240,6 @@ uint64_t SampleHypergeometric(Rng& rng, uint64_t total, uint64_t marked,
                                                                    : draws);
 }
 
-std::vector<uint64_t> SampleMultiHypergeometric(
-    Rng& rng, const std::vector<uint64_t>& category_counts, uint64_t draws) {
-  uint64_t total = 0;
-  for (uint64_t c : category_counts) total += c;
-  if (draws > total) {
-    throw std::invalid_argument("cannot draw more elements than exist");
-  }
-  std::vector<uint64_t> out(category_counts.size(), 0);
-  uint64_t remaining_draws = draws;
-  uint64_t remaining_total = total;
-  for (std::size_t k = 0; k < category_counts.size(); ++k) {
-    if (remaining_draws == 0) break;
-    if (remaining_total == category_counts[k]) {
-      out[k] = remaining_draws;
-      remaining_draws = 0;
-      break;
-    }
-    out[k] = SampleHypergeometric(rng, remaining_total, category_counts[k],
-                                  remaining_draws);
-    remaining_draws -= out[k];
-    remaining_total -= category_counts[k];
-  }
-  return out;
-}
-
 std::vector<double> ZipfWeights(std::size_t d, double s) {
   std::vector<double> w(d);
   double total = 0.0;

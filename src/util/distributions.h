@@ -55,12 +55,6 @@ void SampleMultinomial(Rng& rng, uint64_t n, const std::vector<double>& weights,
 uint64_t SampleHypergeometric(Rng& rng, uint64_t total, uint64_t marked,
                               uint64_t draws);
 
-// Multivariate hypergeometric: counts per category in a size-`draws` subset
-// drawn without replacement from a population with `category_counts`
-// elements per category. Exact via sequential conditioning.
-std::vector<uint64_t> SampleMultiHypergeometric(
-    Rng& rng, const std::vector<uint64_t>& category_counts, uint64_t draws);
-
 // Zipf-like power-law weights w_k = 1 / (k + 1)^s for k in [0, d), normalized
 // to sum to 1. Used by the real-world-like dataset simulators.
 std::vector<double> ZipfWeights(std::size_t d, double s);

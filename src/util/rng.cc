@@ -74,6 +74,4 @@ bool Rng::Bernoulli(double p) {
   return NextDouble() < p;
 }
 
-Rng Rng::Fork() { return Rng(NextU64() ^ 0x6A09E667F3BCC909ULL); }
-
 }  // namespace ldpids

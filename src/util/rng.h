@@ -66,10 +66,6 @@ class Rng {
   // Bernoulli draw with success probability `p` (clamped to [0, 1]).
   bool Bernoulli(double p);
 
-  // Derives an independent child generator; useful for giving each simulated
-  // user or each experiment repetition its own stream.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

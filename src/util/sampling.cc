@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -25,13 +24,6 @@ std::vector<uint32_t> SampleFromPool(Rng& rng, std::vector<uint32_t>* pool,
     pool->pop_back();
   }
   return picked;
-}
-
-std::vector<uint32_t> SampleSubset(Rng& rng, std::size_t n,
-                                   std::size_t count) {
-  std::vector<uint32_t> pool(n);
-  std::iota(pool.begin(), pool.end(), 0u);
-  return SampleFromPool(rng, &pool, count);
 }
 
 }  // namespace ldpids

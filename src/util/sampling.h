@@ -22,11 +22,6 @@ namespace ldpids {
 std::vector<uint32_t> SampleFromPool(Rng& rng, std::vector<uint32_t>* pool,
                                      std::size_t count);
 
-// Returns a uniformly random subset of {0, ..., n-1} of size `count`
-// (Floyd's algorithm would also work; we reuse the pool-based routine for
-// simplicity and determinism).
-std::vector<uint32_t> SampleSubset(Rng& rng, std::size_t n, std::size_t count);
-
 }  // namespace ldpids
 
 #endif  // LDPIDS_UTIL_SAMPLING_H_

@@ -1,4 +1,4 @@
-#include "cdp/baselines.h"
+#include "cdp/laplace.h"
 
 #include <cmath>
 #include <cstddef>
@@ -11,7 +11,8 @@
 
 #include "analysis/metrics.h"
 #include "analysis/runner.h"
-#include "cdp/laplace.h"
+#include "core/factory.h"
+#include "core/mechanism.h"
 #include "datagen/realworld_sim.h"
 #include "datagen/synthetic.h"
 #include "test_util.h"
@@ -42,66 +43,93 @@ TEST(LaplaceMechanismTest, InputValidation) {
                std::invalid_argument);
 }
 
-CdpConfig SmallCdpConfig() {
-  CdpConfig c;
+// Kellaris et al.'s w-event CDP methods are the budget-division mechanisms
+// run over a trusted aggregator's Laplace release.
+struct CdpMethod {
+  const char* kellaris;
+  const char* mechanism;
+};
+constexpr CdpMethod kCdpMethods[] = {
+    {"Uniform", "LBU"}, {"Sampling", "LSP"}, {"BD", "LBD"}, {"BA", "LBA"}};
+constexpr uint64_t kUsers = 20000;
+
+MechanismConfig SmallCdpConfig() {
+  MechanismConfig c;
   c.epsilon = 1.0;
   c.window = 10;
-  c.num_users = 20000;
   c.seed = 3;
   return c;
 }
 
+// Releases of `mechanism` over a LaplaceCollector on `stream`.
+std::vector<Histogram> RunCdp(const std::string& mechanism,
+                              const MechanismConfig& config,
+                              const std::vector<Histogram>& stream,
+                              uint64_t num_users = kUsers) {
+  LaplaceCollector collector(stream, num_users);
+  return CreateMechanism(mechanism, config, num_users)
+      ->Run(collector, stream.size())
+      .releases;
+}
+
 std::vector<Histogram> SmallTrueStream(std::size_t length = 80) {
-  const auto data = MakeLnsDataset(20000, length, 0.0025, 17);
+  const auto data = MakeLnsDataset(kUsers, length, 0.0025, 17);
   return data->TrueStream();
 }
 
 TEST(CdpFactoryTest, CreatesAllMethods) {
-  for (const std::string name : {"Uniform", "Sampling", "BD", "BA"}) {
-    EXPECT_NO_THROW(CreateCdpMechanism(name, SmallCdpConfig())) << name;
+  for (const CdpMethod& method : kCdpMethods) {
+    EXPECT_NO_THROW(CreateMechanism(method.mechanism, SmallCdpConfig(),
+                                    kUsers))
+        << method.kellaris;
   }
-  EXPECT_THROW(CreateCdpMechanism("nope", SmallCdpConfig()),
+  EXPECT_THROW(CreateMechanism("nope", SmallCdpConfig(), kUsers),
                std::invalid_argument);
 }
 
 TEST(CdpMechanismTest, RunReleasesMatchStreamShape) {
   const auto stream = SmallTrueStream();
-  for (const std::string name : {"Uniform", "Sampling", "BD", "BA"}) {
-    auto m = CreateCdpMechanism(name, SmallCdpConfig());
-    const auto releases = m->Run(stream);
-    ASSERT_EQ(releases.size(), stream.size()) << name;
-    for (const auto& r : releases) ASSERT_EQ(r.size(), 2u) << name;
+  for (const CdpMethod& method : kCdpMethods) {
+    const auto releases = RunCdp(method.mechanism, SmallCdpConfig(), stream);
+    ASSERT_EQ(releases.size(), stream.size()) << method.kellaris;
+    for (const auto& r : releases) ASSERT_EQ(r.size(), 2u) << method.kellaris;
     // CDP at n=20k is accurate: MAE well under 5%.
-    EXPECT_LT(MeanAbsoluteError(stream, releases), 0.05) << name;
+    EXPECT_LT(MeanAbsoluteError(stream, releases), 0.05) << method.kellaris;
   }
 }
 
 TEST(CdpMechanismTest, AdaptiveBeatsUniformOnQuietStreams) {
   // On a static stream BD/BA approximate almost always and beat Uniform.
   const std::vector<Histogram> stream(100, Histogram{0.8, 0.2});
-  auto uniform = CreateCdpMechanism("Uniform", SmallCdpConfig());
-  auto ba = CreateCdpMechanism("BA", SmallCdpConfig());
-  const double mse_uniform = MeanSquaredError(stream, uniform->Run(stream));
-  const double mse_ba = MeanSquaredError(stream, ba->Run(stream));
+  const double mse_uniform =
+      MeanSquaredError(stream, RunCdp("LBU", SmallCdpConfig(), stream));
+  const double mse_ba =
+      MeanSquaredError(stream, RunCdp("LBA", SmallCdpConfig(), stream));
   EXPECT_LT(mse_ba, mse_uniform);
 }
 
 TEST(CdpMechanismTest, DomainChangeMidStreamThrows) {
-  auto m = CreateCdpMechanism("Uniform", SmallCdpConfig());
-  m->Step({0.5, 0.5});
-  EXPECT_THROW(m->Step({0.3, 0.3, 0.4}), std::invalid_argument);
+  EXPECT_THROW(LaplaceCollector({{0.5, 0.5}, {0.3, 0.3, 0.4}}, kUsers),
+               std::invalid_argument);
+  EXPECT_THROW(LaplaceCollector({}, kUsers), std::invalid_argument);
+}
+
+// A trusted aggregator sees everyone's value; a population-division cohort
+// round has no Laplace counterpart and is refused, not silently widened.
+TEST(CdpMechanismTest, CohortRoundsThrow) {
+  EXPECT_THROW(RunCdp("LPU", SmallCdpConfig(), SmallTrueStream()),
+               std::invalid_argument);
 }
 
 // The motivating gap (paper Sections 1-2): with the same eps and w, CDP
 // budget division hugely outperforms LDP budget division — this is why
 // population division is needed at all.
 TEST(CdpLdpGapTest, CdpUniformBeatsLdpUniform) {
-  const auto data = MakeLnsDataset(20000, 80, 0.0025, 17);
+  const auto data = MakeLnsDataset(kUsers, 80, 0.0025, 17);
   const auto truth = data->TrueStream();
 
-  CdpConfig cdp = SmallCdpConfig();
-  auto cdp_uniform = CreateCdpMechanism("Uniform", cdp);
-  const double mse_cdp = MeanSquaredError(truth, cdp_uniform->Run(truth));
+  const double mse_cdp =
+      MeanSquaredError(truth, RunCdp("LBU", SmallCdpConfig(), truth));
 
   MechanismConfig ldp;
   ldp.epsilon = 1.0;
@@ -121,22 +149,22 @@ TEST(CdpMechanismTest, BaselinesMatchEdgeGridDigests) {
   constexpr std::size_t kWindows[] = {1, 2, 3, 8, 20};
   constexpr double kEpsilons[] = {0.05, 0.5, 3.0, 20.0};
   constexpr std::size_t kLength = 50;
-  constexpr uint64_t kUsers = 1200;
+  constexpr uint64_t kGridUsers = 1200;
   struct Golden {
     const char* mechanism;
     uint64_t digest;
   };
   constexpr Golden kGoldens[] = {
-      {"Uniform", 0xD257360F6799D5B9ULL},
-      {"Sampling", 0xDEB863FFB6DBD232ULL},
-      {"BD", 0xDC7B081ECA06FD7CULL},
-      {"BA", 0x12F4ABE85AA03803ULL},
+      {"LBU", 0xD257360F6799D5B9ULL},  // Uniform
+      {"LSP", 0xDEB863FFB6DBD232ULL},  // Sampling
+      {"LBD", 0xDC7B081ECA06FD7CULL},  // BD
+      {"LBA", 0x12F4ABE85AA03803ULL},  // BA
   };
   RealWorldSimOptions zipf;
   zipf.seed = 29;
   const std::vector<Histogram> streams[] = {
-      MakeLnsDataset(kUsers, kLength, 0.0025, 13)->TrueStream(),
-      MakeDriftingZipfDataset("zipf", kUsers, kLength, 17,
+      MakeLnsDataset(kGridUsers, kLength, 0.0025, 13)->TrueStream(),
+      MakeDriftingZipfDataset("zipf", kGridUsers, kLength, 17,
                               /*timestamps_per_day=*/12, zipf)
           ->TrueStream()};
   for (const Golden& golden : kGoldens) {
@@ -145,14 +173,12 @@ TEST(CdpMechanismTest, BaselinesMatchEdgeGridDigests) {
     for (const std::size_t window : kWindows) {
       for (const double eps : kEpsilons) {
         for (const std::vector<Histogram>& stream : streams) {
-          CdpConfig config;
+          MechanismConfig config;
           config.epsilon = eps;
           config.window = window;
-          config.num_users = kUsers;
           config.seed = 7 + cell++;
           digest = testing::DigestReleases(
-              CreateCdpMechanism(golden.mechanism, config)->Run(stream),
-              digest);
+              RunCdp(golden.mechanism, config, stream, kGridUsers), digest);
         }
       }
     }

@@ -6,17 +6,21 @@
 
 #include "fo/frequency_oracle.h"
 #include "test_util.h"
+#include "util/histogram.h"
 #include "util/rng.h"
 
 namespace ldpids {
 namespace {
 
+// The unobservable ground truth dis* (Eq. 3) is the mean squared distance
+// between the true histogram and the last release; it is this suite's
+// oracle for the estimator.
 TEST(TrueDissimilarityTest, MatchesHandComputation) {
   const Histogram c = {0.5, 0.5};
   const Histogram r = {0.3, 0.7};
   // ((0.2)^2 + (0.2)^2) / 2 = 0.04.
-  EXPECT_NEAR(TrueDissimilarity(c, r), 0.04, 1e-12);
-  EXPECT_DOUBLE_EQ(TrueDissimilarity(c, c), 0.0);
+  EXPECT_NEAR(MeanSquaredDistance(c, r), 0.04, 1e-12);
+  EXPECT_DOUBLE_EQ(MeanSquaredDistance(c, c), 0.0);
 }
 
 TEST(EstimateDissimilarityTest, SubtractsVarianceCorrection) {
@@ -50,7 +54,7 @@ TEST_P(DissimilarityUnbiasednessTest, EstimatorIsUnbiased) {
   // True current histogram and a stale "last release".
   const Histogram c_t = {0.4, 0.3, 0.2, 0.1};
   const Histogram r_l = {0.25, 0.25, 0.25, 0.25};
-  const double dis_star = TrueDissimilarity(c_t, r_l);
+  const double dis_star = MeanSquaredDistance(c_t, r_l);
 
   Counts cohort(d);
   for (std::size_t k = 0; k < d; ++k) {

@@ -201,31 +201,6 @@ INSTANTIATE_TEST_SUITE_P(
                       HyperCase{5000, 2500, 4000}  // large draws
                       ));
 
-TEST(MultiHypergeometricTest, CountsSumToDraws) {
-  Rng rng(13);
-  const std::vector<uint64_t> categories = {100, 200, 300, 400};
-  for (int i = 0; i < 200; ++i) {
-    const auto counts = SampleMultiHypergeometric(rng, categories, 250);
-    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0ull), 250ull);
-    for (std::size_t k = 0; k < categories.size(); ++k) {
-      EXPECT_LE(counts[k], categories[k]);
-    }
-  }
-}
-
-TEST(MultiHypergeometricTest, RejectsOverdraw) {
-  Rng rng(14);
-  EXPECT_THROW(SampleMultiHypergeometric(rng, {5, 5}, 11),
-               std::invalid_argument);
-}
-
-TEST(MultiHypergeometricTest, ExactWhenDrawingEverything) {
-  Rng rng(15);
-  const std::vector<uint64_t> categories = {7, 3, 5};
-  const auto counts = SampleMultiHypergeometric(rng, categories, 15);
-  EXPECT_EQ(counts, categories);
-}
-
 TEST(ZipfWeightsTest, NormalizedAndDecreasing) {
   const auto w = ZipfWeights(10, 1.2);
   EXPECT_EQ(w.size(), 10u);

@@ -36,13 +36,6 @@ TEST(FactoryTest, CreatesAllMechanisms) {
                std::invalid_argument);
 }
 
-TEST(FactoryTest, FamiliesPartitionAllNames) {
-  auto all = AllMechanismNames();
-  auto budget = BudgetDivisionMechanismNames();
-  auto population = PopulationDivisionMechanismNames();
-  EXPECT_EQ(budget.size() + population.size(), all.size());
-}
-
 TEST(MechanismTest, ConfigValidation) {
   MechanismConfig c = SmallConfig();
   c.epsilon = 0.0;

@@ -646,6 +646,60 @@ TEST(MergeTreeTest, DeadChildSurfacesAsMissingStat) {
   EXPECT_EQ(buffer.stats().deadline_flushes, root.session().rounds());
 }
 
+// The merge layer's conservation law read from /metrics alone: the
+// partials series summed over `result` is SketchMergeStats::total(), the
+// partials that arrived. A dead child's absent partial is no result; it is
+// counted in its own series.
+TEST(MergeTreeTest, MissingPartialsHaveTheirOwnSeries) {
+  constexpr uint64_t kUsers = 100;
+  const ClientFleet fleet(kUsers, TruthValue, kFleetSeed);
+  const UserAssignment assign(2, kUsers, AssignMode::kRange);
+  const auto slices = assign.PartitionAll();
+  AggregatorOptions opts;
+  opts.node_id = 51;
+  AggregatorNode survivor(GetFrequencyOracle("GRR"), OracleId::kGrr, kDomain,
+                          opts);
+  RoundBufferOptions buffer_options;
+  buffer_options.round_deadline = std::chrono::milliseconds(30);
+  RoundBuffer buffer(buffer_options);
+  auto announce = [&](const RoundRequest& request) {
+    RoundRequest child_request = request;
+    child_request.cohort = &slices[0];
+    auto ingest = [&fleet](const RoundRequest& req,
+                           service::ReportRouter& router) {
+      router.IngestBatch(fleet.ProduceRound(req, 1), 1);
+    };
+    buffer.Deliver(MakePartialSketchFrame(
+        kSessionId, request.round_index,
+        survivor.RunRoundToPartial(child_request, ingest)));
+  };
+  obs::MetricsRegistry registry;
+  SessionOptions options;
+  options.metrics = &registry;
+  options.metrics_label = "root";
+  RootSession root(CreateMechanism("LBA", SessionConfig("GRR"), kUsers),
+                   kDomain, options, 2, kSessionId, buffer, announce);
+  for (int t = 0; t < 2; ++t) (void)root.Advance();
+
+  const SketchMergeStats& merges = root.merge_stats();
+  ASSERT_GT(merges.missing, 0u);
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const obs::Labels session = {{"session", "root"}};
+  uint64_t partials = 0;
+  for (const obs::CounterSample& c : snap.counters) {
+    if (c.name == "ldpids_sketch_merge_partials_total" &&
+        std::find(c.labels.begin(), c.labels.end(), session.front()) !=
+            c.labels.end()) {
+      partials += c.value;
+    }
+  }
+  EXPECT_EQ(partials, merges.total());
+  const obs::CounterSample* missing =
+      snap.FindCounter("ldpids_sketch_merge_missing_total", session);
+  ASSERT_NE(missing, nullptr);
+  EXPECT_EQ(missing->value, merges.missing);
+}
+
 // Every child dead: the round drains empty, zero users survive, and the
 // session burns permanently — the PR 5 failed-round contract, verbatim.
 TEST(MergeTreeTest, AllChildrenDeadBurnsTheSession) {

@@ -51,6 +51,8 @@ namespace {
 
 using service::ClientFleet;
 using service::IngestStats;
+using service::MakeBufferedSplitTransport;
+using service::MakeBufferedTransport;
 using service::MechanismSession;
 using service::RoundRequest;
 using service::SessionOptions;
@@ -58,8 +60,6 @@ using service::SplitRoundTransport;
 using transport::Frame;
 using transport::FrameDemux;
 using transport::FrameStats;
-using transport::MakeBufferedSplitTransport;
-using transport::MakeBufferedTransport;
 using transport::MakeDataFrame;
 using transport::MakeEndRoundFrame;
 using transport::RoundBuffer;

@@ -106,14 +106,6 @@ TEST(RngTest, BernoulliEdgeCasesAreExact) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentLookingStream) {
-  Rng parent(29);
-  Rng child = parent.Fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) equal += (parent.NextU64() == child.NextU64());
-  EXPECT_LT(equal, 3);
-}
-
 TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Rng>);
   Rng rng(31);

@@ -1,7 +1,6 @@
 #include "util/sampling.h"
 #include <cmath>
 
-#include <algorithm>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -64,22 +63,6 @@ TEST(SampleFromPoolTest, SamplingIsUniform) {
   for (int k = 0; k < 20; ++k) {
     EXPECT_NEAR(inclusion[k], expected, 5.0 * sigma) << "element " << k;
   }
-}
-
-TEST(SampleSubsetTest, ProducesDistinctElementsInRange) {
-  Rng rng(6);
-  const auto subset = SampleSubset(rng, 50, 20);
-  EXPECT_EQ(subset.size(), 20u);
-  std::set<uint32_t> unique(subset.begin(), subset.end());
-  EXPECT_EQ(unique.size(), 20u);
-  for (uint32_t u : subset) EXPECT_LT(u, 50u);
-}
-
-TEST(SampleSubsetTest, FullSubsetIsPermutation) {
-  Rng rng(7);
-  auto subset = SampleSubset(rng, 10, 10);
-  std::sort(subset.begin(), subset.end());
-  for (uint32_t k = 0; k < 10; ++k) EXPECT_EQ(subset[k], k);
 }
 
 }  // namespace

@@ -42,6 +42,7 @@ namespace {
 
 using service::ClientFleet;
 using testing::VmSizeKb;
+using service::MakeBufferedTransport;
 using service::MechanismSession;
 using service::RoundRequest;
 using service::SessionOptions;
@@ -53,7 +54,6 @@ using transport::FrameKind;
 using transport::FrameLogWriter;
 using transport::FrameSender;
 using transport::FrameStats;
-using transport::MakeBufferedTransport;
 using transport::MakeDataFrame;
 using transport::MakeEndRoundFrame;
 using transport::RoundBuffer;
