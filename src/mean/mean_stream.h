@@ -11,7 +11,7 @@
 //     estimates dis = (m_hat - last_release)^2 - Var (the scalar Theorem
 //     5.2) and a publication cohort is spent only when dis exceeds the
 //     potential publication error, with LPA's absorb/nullify schedule.
-// The benches and tests call them MeanLBU, MeanLPU and MeanLPA.
+// The benches print them as MeanLBU, MeanLPU and MeanLPA.
 //
 // Privacy: identical accounting to the histogram mechanisms — LBU splits
 // the window budget; LPU/LPA let each user report at most once per window

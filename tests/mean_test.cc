@@ -209,9 +209,7 @@ TEST(MeanMechanismTest, LongRunKeepsParticipationInvariant) {
 // numeric sine stream. N is small, so LPA's cohorts are a few users and
 // its schedule both absorbs (a publication spends more than one unit) and
 // then nullifies. Any change to a split, the absorption schedule, an edge
-// rule or the RNG draw order shows up here. The goldens were taken from
-// the family's own MeanLBU/MeanLPU/MeanLPA classes before they became
-// these mechanisms over a MeanCollector.
+// rule or the RNG draw order shows up here.
 TEST(MeanMechanismTest, MatchesEdgeGridDigests) {
   constexpr std::size_t kWindows[] = {1, 2, 3, 8, 20};
   constexpr double kEpsilons[] = {0.05, 0.5, 3.0, 20.0};
